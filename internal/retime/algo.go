@@ -1,5 +1,23 @@
 package retime
 
+import "math"
+
+// scratch is the working memory of deltas. Feasible and ClockPeriod
+// allocate one per call and reuse it across their deltas passes; it is
+// never stored on the Graph, so concurrent readers of one Graph share
+// nothing mutable.
+type scratch struct {
+	indeg, delta, queue []int
+}
+
+func (g *Graph) newScratch() *scratch {
+	return &scratch{
+		indeg: make([]int, g.V),
+		delta: make([]int, g.V),
+		queue: make([]int, 0, g.V),
+	}
+}
+
 // deltas computes the Leiserson–Saxe Δ values on the retimed graph: for
 // every vertex, the longest zero-register path delay ending at (and
 // including) that vertex. The host is treated as non-propagating — the
@@ -9,17 +27,20 @@ package retime
 // through the environment. Δ(host) still accumulates the worst output
 // arrival time so output settling constrains the period.
 //
-// It returns ok=false when the zero-weight subgraph (host excluded) is
+// The returned slice is s.delta, overwritten by the next call on s. It
+// returns ok=false when the zero-weight subgraph (host excluded) is
 // cyclic, i.e. the retiming would create a combinational loop.
-func (g *Graph) deltas(r []int) (delta []int, ok bool) {
-	indeg := make([]int, g.V)
-	for _, e := range g.Edges {
+func (g *Graph) deltas(r []int, s *scratch) (delta []int, ok bool) {
+	indeg := s.indeg
+	clear(indeg)
+	for i := range g.Edges {
+		e := &g.Edges[i]
 		if e.To != g.Host && g.wr(e, r) == 0 {
 			indeg[e.To]++
 		}
 	}
-	delta = make([]int, g.V)
-	queue := make([]int, 0, g.V)
+	delta = s.delta
+	queue := s.queue[:0]
 	for v := 0; v < g.V; v++ {
 		delta[v] = g.d[v]
 		if indeg[v] == 0 {
@@ -32,7 +53,7 @@ func (g *Graph) deltas(r []int) (delta []int, ok bool) {
 		queue = queue[:len(queue)-1]
 		seen++
 		for _, ei := range g.out[u] {
-			e := g.Edges[ei]
+			e := &g.Edges[ei]
 			if g.wr(e, r) != 0 {
 				continue
 			}
@@ -51,7 +72,7 @@ func (g *Graph) deltas(r []int) (delta []int, ok bool) {
 	return delta, seen == g.V
 }
 
-func (g *Graph) wr(e Edge, r []int) int {
+func (g *Graph) wr(e *Edge, r []int) int {
 	if r == nil {
 		return e.W
 	}
@@ -64,7 +85,7 @@ func (g *Graph) wr(e Edge, r []int) int {
 // combinational cycle, which cannot happen for retimings produced by
 // this package.
 func (g *Graph) ClockPeriod(r []int) int {
-	delta, ok := g.deltas(r)
+	delta, ok := g.deltas(r, g.newScratch())
 	if !ok {
 		panic("retime: combinational cycle in retimed graph")
 	}
@@ -82,8 +103,9 @@ func (g *Graph) Feasible(c int) (r []int, ok bool) {
 		}
 	}
 	r = make([]int, g.V)
+	s := g.newScratch()
 	for iter := 0; iter < g.V-1; iter++ {
-		delta, acyclic := g.deltas(r)
+		delta, acyclic := g.deltas(r, s)
 		if !acyclic {
 			return nil, false
 		}
@@ -98,14 +120,14 @@ func (g *Graph) Feasible(c int) (r []int, ok bool) {
 			break
 		}
 	}
-	if delta, acyclic := g.deltas(r); !acyclic || maxInt(delta) > c {
+	if delta, acyclic := g.deltas(r, s); !acyclic || maxInt(delta) > c {
 		return nil, false
 	}
 	// Legality: every retimed edge weight must be non-negative. Weights
 	// are invariant under the uniform shift below, so checking before
 	// normalization suffices.
-	for _, e := range g.Edges {
-		if g.wr(e, r) < 0 {
+	for i := range g.Edges {
+		if g.wr(&g.Edges[i], r) < 0 {
 			return nil, false
 		}
 	}
@@ -114,6 +136,56 @@ func (g *Graph) Feasible(c int) (r []int, ok bool) {
 		r[v] -= h
 	}
 	return r, true
+}
+
+// minLatency returns a lower bound on the pipeline depth at which period
+// c can be feasible. A retiming keeps k + w(p) registers on every
+// host-to-host path p (r(host) = 0), where w(p) counts p's flipflops,
+// and those registers split p into at most k + w(p) + 1 zero-register
+// segments of delay ≤ c each. So k ≥ ⌈D(p)/c⌉ − 1 − w(p) for the path's
+// total vertex delay D(p), and Feasible fails at every smaller depth.
+// The worst path is a longest-path problem with vertex weights d(v) and
+// edge weights −c·w(e), solved by Bellman–Ford from the host. It returns
+// 0 when there is no bound to take: c < 1, no host-to-host path, or a
+// cycle of positive weight.
+func (g *Graph) minLatency(c int) int {
+	if c < 1 {
+		return 0
+	}
+	const unreached = math.MinInt
+	dist := make([]int, g.V)
+	for v := range dist {
+		dist[v] = unreached
+	}
+	worst := unreached
+	for round := 0; round < g.V; round++ {
+		changed := false
+		for i := range g.Edges {
+			e := &g.Edges[i]
+			l := -c * (e.W - g.latency)
+			if e.From != g.Host {
+				if dist[e.From] == unreached {
+					continue
+				}
+				l += dist[e.From]
+			}
+			if e.To == g.Host {
+				worst = max(worst, l)
+				continue
+			}
+			if l += g.d[e.To]; l > dist[e.To] {
+				dist[e.To] = l
+				changed = true
+			}
+		}
+		if !changed {
+			if worst <= 0 {
+				return 0
+			}
+			return (worst+c-1)/c - 1
+		}
+	}
+	return 0 // still relaxing after V rounds: a positive cycle
 }
 
 // MinPeriod binary-searches the smallest feasible clock period and

@@ -56,6 +56,8 @@ func (g *Graph) Apply(r []int, name string) *netlist.Netlist {
 	// once every driver net exists); this tolerates arbitrary sequential
 	// cycles.
 	placeholder := b.Const(0)
+	// One input buffer serves every cell: AddCell copies it.
+	var ins []netlist.NetID
 	newOut := make([][]netlist.NetID, g.V) // vertex -> new output nets
 	newCellID := make([]netlist.CellID, g.V)
 	for v, cid := range g.cellOf {
@@ -63,34 +65,30 @@ func (g *Graph) Apply(r []int, name string) *netlist.Netlist {
 			continue
 		}
 		c := g.n.Cell(cid)
-		ins := make([]netlist.NetID, len(c.In))
-		for i := range ins {
-			ins[i] = placeholder
+		for len(ins) < len(c.In) {
+			ins = append(ins, placeholder)
 		}
 		newCellID[v] = netlist.CellID(b.NumCells())
-		newOut[v] = b.AddCell(c.Type, c.Name, ins...)
+		newOut[v] = b.AddCell(c.Type, c.Name, ins[:len(c.In)]...)
 	}
 
 	// Register chains per driver pin, built lazily to the maximum depth
-	// any sink requires. taps[k] is the signal delayed by k registers.
-	type key struct{ v, pin int }
-	chains := map[key][]netlist.NetID{}
+	// any sink requires: chains[v][pin][k] is the pin's signal delayed
+	// by k registers. The host's output pins are the primary inputs.
+	newOut[g.Host] = newPI
+	chains := make([][][]netlist.NetID, g.V)
 	tap := func(v, pin, depth int) netlist.NetID {
-		k := key{v, pin}
-		chain, ok := chains[k]
-		if !ok {
-			var src netlist.NetID
-			if v == g.Host {
-				src = newPI[pin]
-			} else {
-				src = newOut[v][pin]
-			}
-			chain = []netlist.NetID{src}
+		if chains[v] == nil {
+			chains[v] = make([][]netlist.NetID, len(newOut[v]))
+		}
+		chain := chains[v][pin]
+		if chain == nil {
+			chain = append(make([]netlist.NetID, 0, depth+1), newOut[v][pin])
 		}
 		for len(chain) <= depth {
 			chain = append(chain, b.DFF(chain[len(chain)-1]))
 		}
-		chains[k] = chain
+		chains[v][pin] = chain
 		return chain[depth]
 	}
 
@@ -99,7 +97,8 @@ func (g *Graph) Apply(r []int, name string) *netlist.Netlist {
 	for j := range newPO {
 		newPO[j] = netlist.NoNet
 	}
-	for _, e := range g.Edges {
+	for i := range g.Edges {
+		e := &g.Edges[i]
 		w := g.wr(e, r)
 		src := tap(e.From, e.FromPin, w)
 		if e.ToPO >= 0 {

@@ -28,6 +28,12 @@ import (
 // primary outputs at the end of the cycle. This keeps combinational
 // PI→PO paths from forming spurious zero-register cycles through the
 // environment.
+//
+// No exported method modifies a Graph: Feasible, ClockPeriod, MinPeriod,
+// Registers and Apply keep their working memory per call, so any number
+// of goroutines may use one Graph at once. A FEAS probe (Feasible) costs
+// O(E) per relaxation round and allocates its scratch once; Apply is
+// linear in the size of the retimed netlist.
 type Graph struct {
 	n  *netlist.Netlist
 	dm delay.Model
@@ -88,12 +94,15 @@ func FromNetlist(n *netlist.Netlist, dm delay.Model, latency int) *Graph {
 	for i := range g.vertexOf {
 		g.vertexOf[i] = -1
 	}
+	numEdges := len(n.POs)
 	for i := range n.Cells {
 		if n.Cells[i].Type != netlist.DFF {
 			g.vertexOf[i] = len(g.cellOf)
 			g.cellOf = append(g.cellOf, netlist.CellID(i))
+			numEdges += len(n.Cells[i].In)
 		}
 	}
+	g.Edges = make([]Edge, 0, numEdges)
 	g.Host = len(g.cellOf)
 	g.V = g.Host + 1
 	g.cellOf = append(g.cellOf, netlist.NoCell)
@@ -176,6 +185,16 @@ func FromNetlist(n *netlist.Netlist, dm delay.Model, latency int) *Graph {
 
 // Latency returns the explicit pipeline depth the graph was built with.
 func (g *Graph) Latency() int { return g.latency }
+
+// setLatency re-targets the graph to pipeline depth k, exactly as if
+// FromNetlist had been called with latency k: only the host→input edge
+// weights depend on the depth, so it shifts those and nothing else.
+func (g *Graph) setLatency(k int) {
+	for _, ei := range g.out[g.Host] {
+		g.Edges[ei].W += k - g.latency
+	}
+	g.latency = k
+}
 
 // Registers returns the total register count of the graph under a
 // retiming (nil means the identity), accounting for fanout sharing: a

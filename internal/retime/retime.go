@@ -75,12 +75,20 @@ func Pipeline(n *netlist.Netlist, dm delay.Model, stages int) (Result, error) {
 // ForPeriod finds the smallest pipeline depth at which the target period
 // becomes feasible and returns that retiming: "retimed for a different
 // clock frequency" (paper §5). maxStages bounds the search.
+//
+// It builds the retiming graph once and re-targets it to each probed
+// depth k by shifting the host→input edge weights, so a probe costs one
+// FEAS run and nothing else; depths below a path-delay lower bound are
+// not probed, since FEAS provably fails there. The result is the one a
+// fresh FromNetlist(n, dm, k) per depth would give. Concurrent calls on
+// one netlist are safe: the netlist is only read.
 func ForPeriod(n *netlist.Netlist, dm delay.Model, period, maxStages int) (Result, error) {
 	if dm == nil {
 		dm = delay.Unit()
 	}
-	for k := 0; k <= maxStages; k++ {
-		g := FromNetlist(n, dm, k)
+	g := FromNetlist(n, dm, 0)
+	for k := g.minLatency(period); k <= maxStages; k++ {
+		g.setLatency(k)
 		if r, ok := g.Feasible(period); ok {
 			out := g.Apply(r, fmt.Sprintf("%s_t%d", n.Name, period))
 			return Result{Netlist: out, Period: g.ClockPeriod(r), Latency: k, Registers: out.NumDFFs()}, nil

@@ -71,8 +71,8 @@ func TestPropertyFEASMatchesWDOracle(t *testing.T) {
 				continue
 			}
 			// The oracle's retiming must itself be legal and meet c.
-			for _, e := range g.Edges {
-				if g.wr(e, rWD) < 0 {
+			for i := range g.Edges {
+				if g.wr(&g.Edges[i], rWD) < 0 {
 					t.Fatalf("trial %d period %d: WD retiming has negative edge weight", trial, c)
 				}
 			}

@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Builder incrementally constructs a Netlist. All helper methods panic on
 // structural misuse (wrong pin counts, duplicate names, foreign nets);
@@ -32,7 +35,7 @@ func (b *Builder) checkOpen() {
 func (b *Builder) newNet(name string) NetID {
 	b.checkOpen()
 	if name == "" {
-		name = fmt.Sprintf("n%d", b.autoNets)
+		name = "n" + strconv.Itoa(b.autoNets)
 		b.autoNets++
 	}
 	if _, dup := b.n.netByName[name]; dup {
@@ -108,7 +111,7 @@ func (b *Builder) AddCell(t CellType, name string, ins ...NetID) []NetID {
 	}
 	cid := CellID(len(b.n.Cells))
 	if name == "" {
-		name = fmt.Sprintf("%s%d", t, cid)
+		name = t.String() + strconv.Itoa(int(cid))
 	}
 	outs := make([]NetID, t.Outputs())
 	for i := range outs {
@@ -222,7 +225,7 @@ func (b *Builder) AddCellDriving(t CellType, name string, ins, outs []NetID) Cel
 	}
 	cid := CellID(len(b.n.Cells))
 	if name == "" {
-		name = fmt.Sprintf("%s%d", t, cid)
+		name = t.String() + strconv.Itoa(int(cid))
 	}
 	for pin, o := range outs {
 		b.checkNet(o)
@@ -261,9 +264,14 @@ func (b *Builder) RenameNet(id NetID, name string) {
 }
 
 // Rewire changes input port of cell to read net, updating the sink
-// records on both the old and new nets. It is the only way to create
-// sequential feedback loops (a cell reading a DFF output that was
-// created after it).
+// records on both the old and new nets: the pin leaves the old net's
+// Sinks with the order of the rest kept, and joins the new net's Sinks
+// at the tail. It is the only way to create sequential feedback loops (a
+// cell reading a DFF output that was created after it).
+//
+// A (cell, port) pin appears at most once in a net's Sinks, since every
+// input port reads exactly one net; removing it costs a scan up to its
+// position, so rewiring the head sink is O(1).
 func (b *Builder) Rewire(cell CellID, port int, net NetID) {
 	b.checkOpen()
 	b.checkNet(net)
@@ -278,10 +286,15 @@ func (b *Builder) Rewire(cell CellID, port int, net NetID) {
 	if old == net {
 		return
 	}
-	sinks := b.n.Nets[old].Sinks[:0]
-	for _, s := range b.n.Nets[old].Sinks {
-		if !(s.Cell == cell && s.Port == port) {
-			sinks = append(sinks, s)
+	sinks := b.n.Nets[old].Sinks
+	for i, s := range sinks {
+		if s.Cell == cell && s.Port == port {
+			if i == 0 {
+				sinks = sinks[1:]
+			} else {
+				sinks = append(sinks[:i], sinks[i+1:]...)
+			}
+			break
 		}
 	}
 	b.n.Nets[old].Sinks = sinks

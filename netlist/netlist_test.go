@@ -400,3 +400,51 @@ func TestCellCounts(t *testing.T) {
 		t.Errorf("counts wrong: %v", c)
 	}
 }
+
+// TestBuilderRewire: rewiring a pin removes exactly that pin from the old
+// net, keeping the other sinks in order, and appends it to the new net.
+func TestBuilderRewire(t *testing.T) {
+	sinksOf := func(b *Builder, id NetID) []Pin { return b.n.Nets[id].Sinks }
+	same := func(t *testing.T, what string, got, want []Pin) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: sinks %v, want %v", what, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: sinks %v, want %v", what, got, want)
+			}
+		}
+	}
+	// x feeds cell 0 port 0, cell 1 ports 0 and 1, and cell 2 port 1.
+	setup := func() (b *Builder, x, y NetID) {
+		b = NewBuilder("rewire")
+		x, y = b.Input("x"), b.Input("y")
+		b.Not(x)
+		b.And(x, x)
+		b.Or(y, x)
+		return b, x, y
+	}
+
+	t.Run("middle", func(t *testing.T) {
+		b, x, y := setup()
+		b.Rewire(1, 1, y)
+		same(t, "old net", sinksOf(b, x), []Pin{{0, 0}, {1, 0}, {2, 1}})
+		same(t, "new net", sinksOf(b, y), []Pin{{2, 0}, {1, 1}})
+		if got := b.n.Cells[1].In[1]; got != y {
+			t.Fatalf("cell 1 port 1 reads net %d, want %d", got, y)
+		}
+	})
+	t.Run("head", func(t *testing.T) {
+		b, x, y := setup()
+		b.Rewire(0, 0, y)
+		same(t, "old net", sinksOf(b, x), []Pin{{1, 0}, {1, 1}, {2, 1}})
+		same(t, "new net", sinksOf(b, y), []Pin{{2, 0}, {0, 0}})
+	})
+	t.Run("same net", func(t *testing.T) {
+		b, x, y := setup()
+		b.Rewire(2, 1, x)
+		same(t, "old net", sinksOf(b, x), []Pin{{0, 0}, {1, 0}, {1, 1}, {2, 1}})
+		same(t, "other net", sinksOf(b, y), []Pin{{2, 0}})
+	})
+}
