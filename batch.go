@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"glitchsim/internal/core"
-	"glitchsim/netlist"
 )
 
 // The parallel batch measurement layer: independent measurement configs
@@ -20,43 +19,15 @@ import (
 // stop picking up new items as soon as the request's context is
 // cancelled, and in-flight simulations abort from inside the kernel.
 
-// defaultWorkers holds the worker count the experiment drivers use;
-// 0 or negative means GOMAXPROCS.
-var defaultWorkers atomic.Int32
-
-// SetDefaultWorkers sets the worker-pool size used by the experiment
-// drivers (Table1, Table2, Table3, Figure10, SeedSweep, GraySweep, …)
-// and by Engines without an explicit WithWorkers option. n <= 0 restores
-// the default of GOMAXPROCS. The cmd/glitchsim -workers flag calls this.
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int32(n))
-}
-
-// DefaultWorkers returns the current default worker-pool size.
-func DefaultWorkers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // MeasureJob is one independent measurement: a circuit and the
-// configuration to measure it under. Jobs sharing a *netlist.Netlist
-// (or a Circuit resolving to the same structure) share one compiled
-// form. A job with an explicit Config.Source must not share that source
-// with another job (sources are stateful); Seed-based jobs need no such
-// care.
+// configuration to measure it under. Jobs whose Circuits resolve to the
+// same structure share one compiled form. A job with an explicit
+// Config.Source must not share that source with another job (sources
+// are stateful); Seed-based jobs need no such care.
 type MeasureJob struct {
 	// Circuit references the circuit to measure (see CircuitNamed and
 	// friends). Resolution failures land in the job's MeasureResult.
 	Circuit Circuit
-	// Netlist is the circuit as a raw netlist.
-	//
-	// Deprecated: set Circuit. When both are set, Netlist wins.
-	Netlist *netlist.Netlist
 	Config  Config
 }
 
@@ -71,43 +42,8 @@ type MeasureResult struct {
 	Err error
 }
 
-// MeasureMany measures every job on a pool of `workers` goroutines
-// (workers <= 0 means DefaultWorkers) and returns one result per job, in
-// job order. Each distinct netlist is compiled once; per-goroutine
-// simulators share the compiled form. Results are bit-identical to
-// running Measure serially on each job.
-//
-// Deprecated: use DefaultEngine().MeasureMany (or your own Engine) to
-// get compiled-netlist caching and context cancellation. This wrapper
-// remains bit-identical to the equivalent Engine call; like every
-// measurement it uses the process-default lane decomposition (see
-// Config.Lanes — SetDefaultLanes(1) restores the pre-lanes
-// single-stream numbers).
-func MeasureMany(jobs []MeasureJob, workers int) []MeasureResult {
-	results, _ := DefaultEngine().MeasureMany(context.Background(), BatchRequest{Jobs: jobs, Workers: workers})
-	return results
-}
-
-// MeasureSeeds measures the same circuit under each stimulus seed in
-// parallel and merges the per-seed counters into one aggregate, which
-// reads like a single measurement of len(seeds)*cfg.Cycles cycles. Any
-// Source in cfg is ignored (each seed gets its own stream). The merge
-// order is fixed (seed order), so the aggregate is deterministic.
-//
-// Deprecated: use DefaultEngine().MeasureSeeds (or your own Engine) to
-// get compiled-netlist caching and context cancellation. This wrapper
-// remains bit-identical to the equivalent Engine call; like every
-// measurement it uses the process-default lane decomposition (see
-// Config.Lanes — SetDefaultLanes(1) restores the pre-lanes
-// single-stream numbers).
-func MeasureSeeds(n *netlist.Netlist, cfg Config, seeds []uint64, workers int) (*core.Counter, error) {
-	return DefaultEngine().MeasureSeeds(context.Background(), SeedSweepRequest{
-		Netlist: n, Config: cfg, Seeds: seeds, Workers: workers,
-	})
-}
-
 // parallelEachCtx runs f(0), …, f(n-1) on a pool of `workers` goroutines
-// (workers <= 0 means DefaultWorkers). Workers stop claiming new indices
+// (workers <= 0 means GOMAXPROCS). Workers stop claiming new indices
 // once ctx is cancelled; the function then returns ctx's error. With a
 // live context it returns the lowest-index error from f, so the reported
 // failure does not depend on scheduling order. It is the harness behind
@@ -118,7 +54,7 @@ func parallelEachCtx(ctx context.Context, n, workers int, f func(i int) error) e
 		return ctx.Err()
 	}
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

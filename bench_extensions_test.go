@@ -1,6 +1,7 @@
 package glitchsim_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,11 +22,11 @@ func retimeGraph(n *netlist.Netlist) *retime.Graph {
 // BenchmarkBalanceStudy measures the delay-balancing extension: the
 // §4.2 "1 + L/F" limit verified by construction, with buffer overhead.
 func BenchmarkBalanceStudy(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var rows []glitchsim.BalanceRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		rows, err = glitchsim.BalanceStudy(200, 1)
+		rows, err = e.BalanceStudy(ctx, glitchsim.ExperimentRequest{Cycles: 200, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,11 +42,11 @@ func BenchmarkBalanceStudy(b *testing.B) {
 
 // BenchmarkAdderStudy compares adder architectures for glitching.
 func BenchmarkAdderStudy(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var rows []glitchsim.AdderRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		rows, err = glitchsim.AdderStudy(16, 500, 1)
+		rows, err = e.AdderStudy(ctx, glitchsim.ExperimentRequest{Width: 16, Cycles: 500, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,11 +58,11 @@ func BenchmarkAdderStudy(b *testing.B) {
 
 // BenchmarkCorrelationStudy quantifies the §4.2 correlation-decay claim.
 func BenchmarkCorrelationStudy(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var rows []glitchsim.CorrelationRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		rows, err = glitchsim.CorrelationStudy(2000, 99)
+		rows, err = e.CorrelationStudy(ctx, glitchsim.ExperimentRequest{Cycles: 2000, Seed: 99})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,11 +73,11 @@ func BenchmarkCorrelationStudy(b *testing.B) {
 
 // BenchmarkMultiplierStudy extends Table 1 with the Booth multiplier.
 func BenchmarkMultiplierStudy(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var rows []glitchsim.AdderRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		rows, err = glitchsim.MultiplierStudy(8, 500, 1)
+		rows, err = e.MultiplierStudy(ctx, glitchsim.ExperimentRequest{Width: 8, Cycles: 500, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,11 +90,11 @@ func BenchmarkMultiplierStudy(b *testing.B) {
 // BenchmarkEstimatorComparison runs the three-way activity estimator
 // ablation: zero-delay vs density propagation vs event-driven truth.
 func BenchmarkEstimatorComparison(b *testing.B) {
+	e, ctx := glitchsim.NewEngine(), context.Background()
 	var res glitchsim.EstimatorComparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		//lint:ignore SA1019 deprecated wrappers keep golden coverage
-		res, err = glitchsim.CompareEstimators(16, 2000, 1)
+		res, err = e.CompareEstimators(ctx, glitchsim.ExperimentRequest{Width: 16, Cycles: 2000, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -155,7 +155,7 @@ func estimateCost(n *netlist.Netlist, cfg Config, lanes int) CostEstimate {
 // anything. The service's admission layer calls this on every incoming
 // measure request.
 func (e *Engine) EstimateCost(req MeasureRequest) (CostEstimate, error) {
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, err := e.requestNetlist(req.Circuit)
 	if err != nil {
 		return CostEstimate{}, err
 	}

@@ -16,7 +16,7 @@ import (
 // detailed counter (partial on a checkpointed stop, alongside the error).
 func measureFor(t *testing.T, n *netlist.Netlist, cfg Config) (*core.Counter, error) {
 	t.Helper()
-	return NewEngine().MeasureDetailed(context.Background(), MeasureRequest{Netlist: n, Config: cfg})
+	return NewEngine().MeasureDetailed(context.Background(), MeasureRequest{Circuit: CircuitFromNetlist(n), Config: cfg})
 }
 
 // sameCounters asserts two detailed counters agree net for net — the

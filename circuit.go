@@ -238,15 +238,11 @@ func (e *Engine) CircuitNames() []string {
 // -circuit flags and the service's circuit parameter).
 func BuiltinCircuits() []string { return registry.Names() }
 
-// requestNetlist resolves the two ways a request can name its circuit:
-// the deprecated explicit *netlist.Netlist wins when set, otherwise the
-// Circuit reference is resolved through the engine.
-func (e *Engine) requestNetlist(nl *netlist.Netlist, c Circuit) (*netlist.Netlist, error) {
-	if nl != nil {
-		return nl, nil
-	}
+// requestNetlist resolves a request's Circuit reference through the
+// engine, rejecting a request that names no circuit.
+func (e *Engine) requestNetlist(c Circuit) (*netlist.Netlist, error) {
 	if c.IsZero() {
-		return nil, fmt.Errorf("glitchsim: request names no circuit (set Circuit or the deprecated Netlist field)")
+		return nil, fmt.Errorf("glitchsim: request names no circuit (set Circuit)")
 	}
 	return c.resolve(e)
 }

@@ -139,34 +139,14 @@ func TestWithCircuitSource(t *testing.T) {
 	}
 }
 
-// TestRequestNetlistFieldWins: the deprecated Netlist field keeps its
-// pre-Circuit semantics, including when both fields are set.
-func TestRequestNetlistFieldWins(t *testing.T) {
-	e := NewEngine()
-	ctx := context.Background()
-	nl := NewRCA(4)
-	cfg := Config{Cycles: 40, Seed: 2}
-	old, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	both, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Circuit: CircuitNamed("rca16"), Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if both != old {
-		t.Errorf("Netlist field did not win over Circuit: %+v vs %+v", both, old)
-	}
-}
-
-// TestBatchWithCircuits: jobs may mix Circuit references and raw
+// TestBatchWithCircuits: jobs may mix named references and wrapped
 // netlists; a job whose reference fails to resolve carries the error
 // without aborting the batch.
 func TestBatchWithCircuits(t *testing.T) {
 	e := NewEngine()
 	jobs := []MeasureJob{
 		{Circuit: CircuitNamed("rca4"), Config: Config{Cycles: 20}},
-		{Netlist: NewRCA(4), Config: Config{Cycles: 20}},
+		{Circuit: CircuitFromNetlist(NewRCA(4)), Config: Config{Cycles: 20}},
 		{Circuit: CircuitNamed("nope"), Config: Config{Cycles: 20}},
 	}
 	res, err := e.MeasureMany(context.Background(), BatchRequest{Jobs: jobs})
@@ -182,9 +162,6 @@ func TestBatchWithCircuits(t *testing.T) {
 	if res[2].Err == nil || !strings.Contains(res[2].Err.Error(), "unknown circuit") {
 		t.Errorf("bad job error = %v, want unknown circuit", res[2].Err)
 	}
-	if jobs[2].Netlist != nil {
-		t.Error("measureMany mutated the caller's job slice")
-	}
 }
 
 // TestSeedSweepWithCircuit: SeedSweepRequest accepts a Circuit and
@@ -198,7 +175,7 @@ func TestSeedSweepWithCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.MeasureSeeds(ctx, SeedSweepRequest{Netlist: NewRCA(4), Config: cfg, Seeds: seeds})
+	b, err := e.MeasureSeeds(ctx, SeedSweepRequest{Circuit: CircuitFromNetlist(NewRCA(4)), Config: cfg, Seeds: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,11 +48,10 @@ func addCircuitFlags(fs *flag.FlagSet, def string) *circuitSelector {
 	}
 }
 
-// build resolves the selected circuit through the shared Engine's
-// circuit sources, so a file-based circuit measured twice compiles once
-// (the compiled-netlist cache is fingerprint-keyed).
-func (cs *circuitSelector) build() (*netlist.Netlist, error) {
-	e := glitchsim.DefaultEngine()
+// build resolves the selected circuit through the engine's circuit
+// sources, so a file-based circuit measured twice compiles once (the
+// compiled-netlist cache is fingerprint-keyed).
+func (cs *circuitSelector) build(e *glitchsim.Engine) (*netlist.Netlist, error) {
 	switch {
 	case *cs.verilog != "" && *cs.json != "":
 		return nil, fmt.Errorf("-verilog and -netlist are mutually exclusive")

@@ -15,13 +15,13 @@ import (
 // -format json path of every experiment subcommand funnels through it.
 func emitJSON(v any) error { return service.WriteJSON(os.Stdout, v) }
 
-func cmdWorstCase(args []string) error {
+func cmdWorstCase(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("worstcase", flag.ExitOnError)
 	n := fs.Int("n", 4, "adder width in bits")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := glitchsim.DefaultEngine().WorstCase(context.Background(),
+	res, err := engine.WorstCase(context.Background(),
 		glitchsim.ExperimentRequest{Width: *n})
 	if err != nil {
 		return err
@@ -40,7 +40,7 @@ func cmdWorstCase(args []string) error {
 	return nil
 }
 
-func cmdFig5(args []string) error {
+func cmdFig5(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("fig5", flag.ExitOnError)
 	n := fs.Int("n", 16, "adder width in bits")
 	cycles := fs.Int("cycles", 4000, "random input vectors")
@@ -49,7 +49,7 @@ func cmdFig5(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := glitchsim.DefaultEngine().Figure5(context.Background(),
+	res, err := engine.Figure5(context.Background(),
 		glitchsim.ExperimentRequest{Width: *n, Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -96,14 +96,14 @@ func multTable(title string, rows []glitchsim.MultRow) *report.Table {
 	return tb
 }
 
-func cmdTable1(args []string) error {
+func cmdTable1(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	cycles := fs.Int("cycles", 500, "random input vectors")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().Table1(context.Background(),
+	rows, err := engine.Table1(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -116,14 +116,14 @@ func cmdTable1(args []string) error {
 	return nil
 }
 
-func cmdTable2(args []string) error {
+func cmdTable2(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
 	cycles := fs.Int("cycles", 500, "random input vectors")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().Table2(context.Background(),
+	rows, err := engine.Table2(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -136,14 +136,14 @@ func cmdTable2(args []string) error {
 	return nil
 }
 
-func cmdDirDet(args []string) error {
+func cmdDirDet(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("dirdet", flag.ExitOnError)
 	cycles := fs.Int("cycles", 4320, "random input vectors (paper: 4320)")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := glitchsim.DefaultEngine().DirectionDetector42(context.Background(),
+	res, err := engine.DirectionDetector42(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -170,14 +170,14 @@ func table3Table(title string, rows []glitchsim.Table3Row) *report.Table {
 	return tb
 }
 
-func cmdTable3(args []string) error {
+func cmdTable3(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("table3", flag.ExitOnError)
 	cycles := fs.Int("cycles", 200, "measured cycles per variant")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().Table3(context.Background(),
+	rows, err := engine.Table3(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -190,14 +190,14 @@ func cmdTable3(args []string) error {
 	return nil
 }
 
-func cmdFig10(args []string) error {
+func cmdFig10(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("fig10", flag.ExitOnError)
 	cycles := fs.Int("cycles", 120, "measured cycles per point")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := glitchsim.DefaultEngine().Figure10(context.Background(),
+	res, err := engine.Figure10(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -223,7 +223,7 @@ func cmdFig10(args []string) error {
 	return nil
 }
 
-func cmdAblate(args []string) error {
+func cmdAblate(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("ablate", flag.ExitOnError)
 	cycles := fs.Int("cycles", 300, "measured cycles")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
@@ -231,14 +231,14 @@ func cmdAblate(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	inert, err := glitchsim.DefaultEngine().AblationInertial(ctx,
+	inert, err := engine.AblationInertial(ctx,
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("A1 transport vs inertial (dirdet8, typical delays):\n  transport: %v\n  inertial:  %v\n\n", inert.A, inert.B)
 
-	zd, err := glitchsim.DefaultEngine().AblationZeroDelay(ctx,
+	zd, err := engine.AblationZeroDelay(ctx,
 		glitchsim.ExperimentRequest{Width: 16, Cycles: *cycles * 4, Seed: *seed})
 	if err != nil {
 		return err
@@ -248,14 +248,14 @@ func cmdAblate(args []string) error {
 		zd.EstimatedPerCycle, zd.MeasuredPerCycle, zd.UsefulPerCycle)
 	fmt.Printf("  glitch-blind underestimate factor: %.2f\n\n", zd.Underestimate())
 
-	gran, err := glitchsim.DefaultEngine().AblationGranularity(ctx,
+	gran, err := engine.AblationGranularity(ctx,
 		glitchsim.ExperimentRequest{Width: 8, Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("A4 FA-cell vs gate-level granularity (rca8):\n  cells: %v\n  gates: %v\n\n", gran.A, gran.B)
 
-	gray, err := glitchsim.DefaultEngine().GraySweep(ctx,
+	gray, err := engine.GraySweep(ctx,
 		glitchsim.ExperimentRequest{Cycles: *cycles})
 	if err != nil {
 		return err
@@ -265,7 +265,7 @@ func cmdAblate(args []string) error {
 		fmt.Printf("  %v\n", g)
 	}
 
-	seeds, err := glitchsim.DefaultEngine().SeedSweep(ctx,
+	seeds, err := engine.SeedSweep(ctx,
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seeds: []uint64{1, 2, 3, 4, 5}})
 	if err != nil {
 		return err
@@ -277,10 +277,10 @@ func cmdAblate(args []string) error {
 	return nil
 }
 
-func cmdAll(args []string) error {
+func cmdAll(engine *glitchsim.Engine, args []string) error {
 	for _, c := range []struct {
 		name string
-		run  func([]string) error
+		run  func(*glitchsim.Engine, []string) error
 	}{
 		{"worstcase", cmdWorstCase},
 		{"fig5", cmdFig5},
@@ -295,7 +295,7 @@ func cmdAll(args []string) error {
 		{"corr", cmdCorr},
 	} {
 		fmt.Printf("==================== %s ====================\n", c.name)
-		if err := c.run(nil); err != nil {
+		if err := c.run(engine, nil); err != nil {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}
 		fmt.Println()

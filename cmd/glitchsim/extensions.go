@@ -10,14 +10,14 @@ import (
 	"glitchsim/internal/report"
 )
 
-func cmdBalance(args []string) error {
+func cmdBalance(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("balance", flag.ExitOnError)
 	cycles := fs.Int("cycles", 300, "measured cycles")
 	seed := fs.Uint64("seed", 1, "stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().BalanceStudy(context.Background(),
+	rows, err := engine.BalanceStudy(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -34,7 +34,7 @@ func cmdBalance(args []string) error {
 	return nil
 }
 
-func cmdAdders(args []string) error {
+func cmdAdders(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("adders", flag.ExitOnError)
 	width := fs.Int("width", 16, "adder width")
 	cycles := fs.Int("cycles", 500, "measured cycles")
@@ -42,7 +42,7 @@ func cmdAdders(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().AdderStudy(context.Background(),
+	rows, err := engine.AdderStudy(context.Background(),
 		glitchsim.ExperimentRequest{Width: *width, Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -56,14 +56,14 @@ func cmdAdders(args []string) error {
 	return nil
 }
 
-func cmdCorr(args []string) error {
+func cmdCorr(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("corr", flag.ExitOnError)
 	cycles := fs.Int("cycles", 4000, "simulated cycles")
 	seed := fs.Uint64("seed", 99, "video stimulus seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().CorrelationStudy(context.Background(),
+	rows, err := engine.CorrelationStudy(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err
@@ -79,7 +79,7 @@ func cmdCorr(args []string) error {
 	return nil
 }
 
-func cmdVerilog(args []string) error {
+func cmdVerilog(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("verilog", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "rca16")
 	out := fs.String("out", "", "output file (default stdout)")
@@ -87,7 +87,7 @@ func cmdVerilog(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, err := sel.build()
+	n, err := sel.build(engine)
 	if err != nil {
 		return err
 	}
@@ -118,7 +118,7 @@ func cmdVerilog(args []string) error {
 	return nil
 }
 
-func cmdMults(args []string) error {
+func cmdMults(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("mults", flag.ExitOnError)
 	width := fs.Int("width", 8, "multiplier width (even)")
 	cycles := fs.Int("cycles", 500, "measured cycles")
@@ -126,7 +126,7 @@ func cmdMults(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rows, err := glitchsim.DefaultEngine().MultiplierStudy(context.Background(),
+	rows, err := engine.MultiplierStudy(context.Background(),
 		glitchsim.ExperimentRequest{Width: *width, Cycles: *cycles, Seed: *seed})
 	if err != nil {
 		return err

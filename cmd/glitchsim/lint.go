@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 
+	"glitchsim"
 	"glitchsim/netlist"
 )
 
@@ -13,14 +14,14 @@ import (
 // reconvergent fanout, register feedback). The exit status is nonzero
 // when any warning-severity finding is present, so the subcommand works
 // as a CI gate over exported designs.
-func cmdLint(args []string) error {
+func cmdLint(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("lint", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "rca8")
 	quiet := fs.Bool("quiet", false, "report warnings only, suppress info findings")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, err := sel.build()
+	n, err := sel.build(engine)
 	if err != nil {
 		return err
 	}

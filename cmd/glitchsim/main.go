@@ -33,7 +33,7 @@ import (
 	"glitchsim"
 )
 
-var commands = map[string]func(args []string) error{
+var commands = map[string]func(engine *glitchsim.Engine, args []string) error{
 	"worstcase": cmdWorstCase,
 	"fig5":      cmdFig5,
 	"table1":    cmdTable1,
@@ -85,8 +85,6 @@ func jsonOut() bool { return format == "json" }
 func main() {
 	flag.Usage = usage
 	flag.Parse()
-	glitchsim.SetDefaultWorkers(workers)
-	glitchsim.SetDefaultLanes(lanes)
 	if format != "text" && format != "json" {
 		fmt.Fprintf(os.Stderr, "glitchsim: unknown -format %q (text or json)\n", format)
 		os.Exit(2)
@@ -102,7 +100,8 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if err := cmd(args[1:]); err != nil {
+	engine := glitchsim.NewEngine(glitchsim.WithWorkers(workers), glitchsim.WithLanes(lanes))
+	if err := cmd(engine, args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "glitchsim %s: %v\n", args[0], err)
 		os.Exit(1)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"glitchsim"
 	"glitchsim/internal/delay"
 	"glitchsim/internal/registry"
 	"glitchsim/netlist"
@@ -80,7 +81,7 @@ func TestExperimentCommandsRunQuickly(t *testing.T) {
 		"retime":    {"-circuit", "rca8", "-stages", "1", "-cycles", "30"},
 	}
 	for name, args := range cases {
-		if err := commands[name](args); err != nil {
+		if err := commands[name](glitchsim.NewEngine(), args); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -130,7 +131,7 @@ func TestCircuitSelectorFiles(t *testing.T) {
 		if err := fs.Parse([]string{flagName, path}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := sel.build()
+		got, err := sel.build(glitchsim.NewEngine())
 		if err != nil {
 			t.Fatalf("%s: %v", flagName, err)
 		}
@@ -145,12 +146,12 @@ func TestCircuitSelectorFiles(t *testing.T) {
 	if err := fs.Parse([]string{"-verilog", vPath, "-netlist", jPath}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sel.build(); err == nil {
+	if _, err := sel.build(glitchsim.NewEngine()); err == nil {
 		t.Error("conflicting -verilog/-netlist accepted")
 	}
 
 	// The sim subcommand end to end on a file circuit.
-	if err := commands["sim"]([]string{"-verilog", vPath, "-cycles", "10"}); err != nil {
+	if err := commands["sim"](glitchsim.NewEngine(), []string{"-verilog", vPath, "-cycles", "10"}); err != nil {
 		t.Errorf("sim -verilog: %v", err)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"glitchsim/internal/stimulus"
 )
 
-func cmdStats(args []string) error {
+func cmdStats(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "dirdet8")
 	cycles := fs.Int("cycles", 2000, "simulated cycles")
@@ -23,7 +23,7 @@ func cmdStats(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, err := sel.build()
+	n, err := sel.build(engine)
 	if err != nil {
 		return err
 	}
@@ -51,7 +51,7 @@ func cmdStats(args []string) error {
 	return nil
 }
 
-func cmdPower(args []string) error {
+func cmdPower(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("power", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "dirdet8r")
 	cycles := fs.Int("cycles", 500, "measured cycles")
@@ -60,12 +60,12 @@ func cmdPower(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, err := sel.build()
+	n, err := sel.build(engine)
 	if err != nil {
 		return err
 	}
 	tech := glitchsim.DefaultTech()
-	counter, err := glitchsim.DefaultEngine().MeasureDetailed(context.Background(), glitchsim.MeasureRequest{
+	counter, err := engine.MeasureDetailed(context.Background(), glitchsim.MeasureRequest{
 		Circuit: glitchsim.CircuitFromNetlist(n),
 		Config:  glitchsim.Config{Cycles: *cycles, Seed: *seed},
 	})
@@ -86,14 +86,14 @@ func cmdPower(args []string) error {
 	return nil
 }
 
-func cmdJSON(args []string) error {
+func cmdJSON(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("json", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "rca8")
 	out := fs.String("out", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, err := sel.build()
+	n, err := sel.build(engine)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ func delayFlag(dsum, dcarry int, typical bool) delay.Model {
 	return registry.DelayModel(dsum, dcarry, typical)
 }
 
-func cmdSim(args []string) error {
+func cmdSim(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "rca16")
 	cycles := fs.Int("cycles", 500, "measured cycles")
@@ -39,7 +39,7 @@ func cmdSim(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, err := sel.build()
+	n, err := sel.build(engine)
 	if err != nil {
 		return err
 	}
@@ -71,14 +71,14 @@ func cmdSim(args []string) error {
 			fmt.Fprintf(os.Stderr, "note: %s covers %d cycles, replay wraps around to fill %d\n", *stim, have, *cycles)
 		}
 	}
-	kernel, err := glitchsim.DefaultEngine().SelectedKernel(glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(n), Config: cfg})
+	kernel, err := engine.SelectedKernel(glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(n), Config: cfg})
 	if err != nil {
 		return err
 	}
 	if !jsonOut() {
 		fmt.Print(n.Summary())
 	}
-	counter, err := glitchsim.DefaultEngine().MeasureDetailed(context.Background(),
+	counter, err := engine.MeasureDetailed(context.Background(),
 		glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(n), Config: cfg})
 	if err != nil {
 		// A budget trip still carries the partial counter: report it,
@@ -111,7 +111,7 @@ func cmdSim(args []string) error {
 	return nil
 }
 
-func cmdRetime(args []string) error {
+func cmdRetime(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("retime", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "dirdet8r")
 	period := fs.Int("period", 0, "target clock period (0 = minimize)")
@@ -121,7 +121,7 @@ func cmdRetime(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, err := sel.build()
+	n, err := sel.build(engine)
 	if err != nil {
 		return err
 	}
@@ -138,7 +138,6 @@ func cmdRetime(args []string) error {
 	fmt.Printf("retimed %s: period %d, latency +%d cycles, %d flipflops (was %d)\n\n",
 		n.Name, res.Period, res.Latency, res.Registers, n.NumDFFs())
 	ctx := context.Background()
-	engine := glitchsim.DefaultEngine()
 	before, err := engine.Measure(ctx, glitchsim.MeasureRequest{
 		Circuit: glitchsim.CircuitFromNetlist(n),
 		Config:  glitchsim.Config{Cycles: *cycles, Seed: *seed},
@@ -175,7 +174,7 @@ func cmdRetime(args []string) error {
 	return nil
 }
 
-func cmdVCD(args []string) error {
+func cmdVCD(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("vcd", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "hazard")
 	cycles := fs.Int("cycles", 16, "cycles to dump")
@@ -184,7 +183,7 @@ func cmdVCD(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, err := sel.build()
+	n, err := sel.build(engine)
 	if err != nil {
 		return err
 	}
@@ -214,14 +213,14 @@ func cmdVCD(args []string) error {
 	return nil
 }
 
-func cmdDOT(args []string) error {
+func cmdDOT(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("dot", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "rca4")
 	out := fs.String("out", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n, err := sel.build()
+	n, err := sel.build(engine)
 	if err != nil {
 		return err
 	}

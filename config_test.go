@@ -1,6 +1,7 @@
 package glitchsim
 
 import (
+	"context"
 	"testing"
 
 	"glitchsim/internal/circuits"
@@ -36,9 +37,10 @@ func TestConfigExplicitZero(t *testing.T) {
 // run from reset differs from a warmed-up run only in where measurement
 // starts — both must succeed.
 func TestMeasureZeroWarmup(t *testing.T) {
+	e, ctx := NewEngine(), context.Background()
 	nl := circuits.NewRCA(8, circuits.Cells)
 
-	cold, err := MeasureDetailed(nl, Config{Cycles: 30, Warmup: ExplicitZero})
+	cold, err := e.MeasureDetailed(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: 30, Warmup: ExplicitZero}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestMeasureZeroWarmup(t *testing.T) {
 		t.Fatalf("cold counter saw %d cycles, want 30", cold.Cycles())
 	}
 
-	warm, err := MeasureDetailed(nl, Config{Cycles: 30})
+	warm, err := e.MeasureDetailed(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestMeasureZeroWarmup(t *testing.T) {
 	}
 
 	// Zero measured cycles is a legal request: no classified activity.
-	none, err := MeasureDetailed(nl, Config{Cycles: ExplicitZero})
+	none, err := e.MeasureDetailed(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: ExplicitZero}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,10 @@ import (
 // periodic checks inside the simulator's event loop.
 //
 // An Engine is safe for concurrent use by any number of goroutines; a
-// long-running service shares one Engine across all requests. The
-// package-level functions (Measure, Table1, …) are thin wrappers over a
-// shared DefaultEngine and remain bit-identical to their historical
-// behaviour.
+// long-running service shares one Engine across all requests.
 type Engine struct {
 	workers   int
-	lanes     int // word-parallel stimulus lanes per measurement; 0 tracks DefaultLanes
+	lanes     int // word-parallel stimulus lanes per measurement; 0 means MaxLanes
 	delay     delay.Model
 	tech      power.Tech
 	cacheSize int
@@ -65,8 +62,7 @@ const DefaultCacheSize = 128
 type EngineOption func(*Engine)
 
 // WithWorkers fixes the engine's worker-pool size for batch and sweep
-// measurements. n <= 0 (the default) tracks the process-wide
-// DefaultWorkers value, which the -workers CLI flag sets.
+// measurements. n <= 0 (the default) selects GOMAXPROCS.
 func WithWorkers(n int) EngineOption {
 	return func(e *Engine) {
 		if n < 0 {
@@ -119,7 +115,7 @@ func WithCacheSize(n int) EngineOption {
 }
 
 // NewEngine returns an Engine with the given options applied over the
-// defaults: workers tracking DefaultWorkers, unit fallback delay,
+// defaults: GOMAXPROCS workers, MaxLanes lanes, unit fallback delay,
 // DefaultTech technology, DefaultCacheSize cache entries.
 func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{
@@ -160,19 +156,6 @@ func (e *Engine) acquire(ctx context.Context) error {
 
 func (e *Engine) release() { <-e.sem }
 
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the process-wide Engine behind the package-level
-// measurement functions. It is created on first use with all defaults;
-// its worker count follows SetDefaultWorkers.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = NewEngine() })
-	return defaultEngine
-}
-
 // Tech returns the engine's default technology constants.
 func (e *Engine) Tech() power.Tech { return e.tech }
 
@@ -180,7 +163,7 @@ func (e *Engine) Tech() power.Tech { return e.tech }
 func (e *Engine) Workers() int { return e.workerCount(0) }
 
 // workerCount resolves the effective pool size: an explicit per-request
-// count wins, then the engine option, then the process default.
+// count wins, then the engine option, then GOMAXPROCS.
 func (e *Engine) workerCount(request int) int {
 	if request > 0 {
 		return request
@@ -188,7 +171,7 @@ func (e *Engine) workerCount(request int) int {
 	if e.workers > 0 {
 		return e.workers
 	}
-	return DefaultWorkers()
+	return runtime.GOMAXPROCS(0)
 }
 
 // fillDefaults applies the engine-level fallbacks a request config did
@@ -289,12 +272,6 @@ type MeasureRequest struct {
 	// Builder-built netlist, Verilog source or the JSON wire format
 	// (see CircuitNamed and friends).
 	Circuit Circuit
-	// Netlist is the circuit to measure as a raw netlist.
-	//
-	// Deprecated: set Circuit (CircuitFromNetlist wraps an existing
-	// netlist). When both are set, Netlist wins, keeping pre-Circuit
-	// callers bit-identical.
-	Netlist *netlist.Netlist
 	// Config controls the run; zero-value fields select the documented
 	// defaults (and the engine's delay model, if one was configured).
 	Config Config
@@ -316,10 +293,6 @@ type BatchRequest struct {
 type SeedSweepRequest struct {
 	// Circuit references the circuit to sweep (see MeasureRequest).
 	Circuit Circuit
-	// Netlist is the circuit as a raw netlist.
-	//
-	// Deprecated: set Circuit. When both are set, Netlist wins.
-	Netlist *netlist.Netlist
 	Config  Config
 	Seeds   []uint64
 	// Workers overrides the engine's pool size for this sweep; 0 keeps
@@ -377,7 +350,7 @@ func (e *Engine) measureNetlist(ctx context.Context, nl *netlist.Netlist, cfg Co
 // WITH the error: its statistics are well defined through the cycle
 // boundary recorded in the *BudgetError.
 func (e *Engine) MeasureDetailed(ctx context.Context, req MeasureRequest) (*core.Counter, error) {
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, err := e.requestNetlist(req.Circuit)
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +362,7 @@ func (e *Engine) MeasureDetailed(ctx context.Context, req MeasureRequest) (*core
 // the partial statistics through the last completed cycle boundary,
 // alongside the error.
 func (e *Engine) Measure(ctx context.Context, req MeasureRequest) (Activity, error) {
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, err := e.requestNetlist(req.Circuit)
 	if err != nil {
 		return Activity{}, err
 	}
@@ -407,7 +380,7 @@ func (e *Engine) Measure(ctx context.Context, req MeasureRequest) (Activity, err
 // three-component power model on it, using the request's technology
 // constants or the engine default.
 func (e *Engine) MeasurePower(ctx context.Context, req MeasureRequest) (power.Breakdown, Activity, error) {
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, err := e.requestNetlist(req.Circuit)
 	if err != nil {
 		return power.Breakdown{}, Activity{}, err
 	}
@@ -441,13 +414,18 @@ func (e *Engine) measureMany(ctx context.Context, jobs []MeasureJob, workers int
 		return results, ctx.Err()
 	}
 
-	// Materialize Circuit references (on a copy: the caller's slice is
-	// theirs) so the fan-out below only ever sees raw netlists. A job
-	// that fails to resolve carries the error in its result, like any
-	// other per-job failure.
-	jobs = append([]MeasureJob(nil), jobs...)
+	// Resolve every job's Circuit and compile each distinct netlist once,
+	// up front and serially, so the fan-out below only sees compiled
+	// netlists. A job that fails to resolve carries the error in its
+	// result, like any other per-job failure. Compile panics on invalid
+	// netlists (as Measure does) and the panic should surface on the
+	// caller's goroutine. The cache makes this a lookup for circuits the
+	// engine has seen before. Memory-budget admission happens here too,
+	// before the job's netlist is ever compiled.
+	nls := make([]*netlist.Netlist, len(jobs))
+	compiled := make(map[*netlist.Netlist]*sim.Compiled, len(jobs))
 	for i := range jobs {
-		if jobs[i].Netlist != nil || jobs[i].Circuit.IsZero() {
+		if jobs[i].Circuit.IsZero() {
 			continue
 		}
 		nl, err := e.Resolve(jobs[i].Circuit)
@@ -455,46 +433,33 @@ func (e *Engine) measureMany(ctx context.Context, jobs []MeasureJob, workers int
 			results[i].Err = fmt.Errorf("glitchsim: job %d: %w", i, err)
 			continue
 		}
-		jobs[i].Netlist = nl
-	}
-
-	// Resolve each distinct netlist once, up front and serially: Compile
-	// panics on invalid netlists (as Measure does) and the panic should
-	// surface on the caller's goroutine. The cache makes this a lookup
-	// for circuits the engine has seen before. Memory-budget admission
-	// happens here too, before the job's netlist is ever compiled.
-	compiled := make(map[*netlist.Netlist]*sim.Compiled, len(jobs))
-	for i := range jobs {
-		nl := jobs[i].Netlist
-		if nl == nil || results[i].Err != nil {
-			continue
-		}
 		if err := e.admitMemory(nl, e.fillDefaults(jobs[i].Config)); err != nil {
 			results[i].Err = err
 			continue
 		}
+		nls[i] = nl
 		if compiled[nl] == nil {
 			compiled[nl] = e.compiled(nl)
 		}
 	}
 
 	err := parallelEachCtx(ctx, len(jobs), e.workerCount(workers), func(i int) error {
-		job := &jobs[i]
+		nl := nls[i]
 		if results[i].Err != nil {
-			// Circuit resolution already failed above.
-		} else if job.Netlist == nil {
+			// Circuit resolution or admission already failed above.
+		} else if nl == nil {
 			results[i].Err = fmt.Errorf("glitchsim: job %d names no circuit", i)
 		} else if err := e.acquire(ctx); err != nil {
 			results[i].Err = err
 		} else {
-			cfg := e.fillDefaults(job.Config)
-			counter, err := measureCompiled(ctx, compiled[job.Netlist], cfg, e.laneCount(cfg))
+			cfg := e.fillDefaults(jobs[i].Config)
+			counter, err := measureCompiled(ctx, compiled[nl], cfg, e.laneCount(cfg))
 			e.release()
 			if err != nil {
 				results[i].Err = err
 			} else {
 				results[i].Counter = counter
-				results[i].Activity = summarize(job.Netlist.Name, counter)
+				results[i].Activity = summarize(nl.Name, counter)
 			}
 		}
 		if emit != nil {
@@ -532,7 +497,7 @@ func (e *Engine) measureSeeds(ctx context.Context, req SeedSweepRequest, emit fu
 	if len(req.Seeds) == 0 {
 		return nil, "", fmt.Errorf("glitchsim: MeasureSeeds needs at least one seed")
 	}
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, err := e.requestNetlist(req.Circuit)
 	if err != nil {
 		return nil, "", err
 	}
@@ -541,7 +506,7 @@ func (e *Engine) measureSeeds(ctx context.Context, req SeedSweepRequest, emit fu
 		c := req.Config
 		c.Seed = seed
 		c.Source = nil
-		jobs[i] = MeasureJob{Netlist: nl, Config: c}
+		jobs[i] = MeasureJob{Circuit: CircuitFromNetlist(nl), Config: c}
 	}
 	res, err := e.measureMany(ctx, jobs, req.Workers, emit)
 	if err != nil {

@@ -25,7 +25,7 @@ func main() {
 	_ = cp
 
 	fmt.Println("sweeping retiming target periods (paper Table 3 / Figure 10)...")
-	res, err := glitchsim.DefaultEngine().Figure10(context.Background(),
+	res, err := glitchsim.NewEngine().Figure10(context.Background(),
 		glitchsim.ExperimentRequest{Cycles: 150, Seed: 7})
 	if err != nil {
 		log.Fatal(err)

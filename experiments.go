@@ -22,11 +22,9 @@ import (
 // word-parallel passes on the bit-parallel kernel (unit-delay rows) or
 // as 64 scalar streams with identical semantics (the delay-imbalance
 // rows), so delay-model comparisons like Table 2's useful-count
-// invariance stay exact. The package-level functions of the same names
-// are deprecated wrappers over DefaultEngine and remain bit-identical
-// to the Engine methods for the arguments they documented; zero-valued
-// cycle/width arguments select each experiment's paper defaults instead
-// of falling through to Config's generic run length.
+// invariance stay exact. Zero-valued request fields select each
+// experiment's paper defaults instead of falling through to Config's
+// generic run length.
 
 // ---------------------------------------------------------------------------
 // E1 — §3.1 / Figure 3: worst-case transition count of a ripple-carry adder.
@@ -101,18 +99,6 @@ func (e *Engine) WorstCase(ctx context.Context, req ExperimentRequest) (WorstCas
 	return res, nil
 }
 
-// WorstCase is the package-level form of Engine.WorstCase.
-//
-// Deprecated: use DefaultEngine().WorstCase with a context.
-func WorstCase(n int) (WorstCaseResult, error) {
-	// The historical function validated n directly; keep rejecting n=0
-	// rather than letting the request default of 4 absorb it.
-	if n < 2 || n > 16 {
-		return WorstCaseResult{}, fmt.Errorf("glitchsim: worst case supports 2..16 bits, got %d", n)
-	}
-	return DefaultEngine().WorstCase(context.Background(), ExperimentRequest{Width: n})
-}
-
 // ---------------------------------------------------------------------------
 // E2 — Figure 5 / §3.2–3.3: per-bit useful and useless transitions of a
 // 16-bit RCA under random inputs, analytic vs. simulated.
@@ -156,7 +142,7 @@ func (e *Engine) Figure5(ctx context.Context, req ExperimentRequest) (Fig5Result
 	pred := analytic.PredictRCA(n, cycles)
 	nl := circuits.NewRCA(n, circuits.Cells)
 	counter, err := e.MeasureDetailed(ctx, MeasureRequest{
-		Netlist: nl, Config: Config{Cycles: cycles, Seed: req.Seed},
+		Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: cycles, Seed: req.Seed},
 	})
 	if err != nil {
 		return Fig5Result{}, err
@@ -184,13 +170,6 @@ func (e *Engine) Figure5(ctx context.Context, req ExperimentRequest) (Fig5Result
 		})
 	}
 	return res, nil
-}
-
-// Figure5 is the package-level form of Engine.Figure5.
-//
-// Deprecated: use DefaultEngine().Figure5 with a context.
-func Figure5(n, cycles int, seed uint64) (Fig5Result, error) {
-	return DefaultEngine().Figure5(context.Background(), ExperimentRequest{Width: n, Cycles: cycles, Seed: seed})
 }
 
 // ---------------------------------------------------------------------------
@@ -237,13 +216,6 @@ func table1Specs() []multSpec {
 	}
 }
 
-// Table1 is the package-level form of Engine.Table1.
-//
-// Deprecated: use DefaultEngine().Table1 with a context.
-func Table1(cycles int, seed uint64) ([]MultRow, error) {
-	return DefaultEngine().Table1(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
-}
-
 // Table2 reproduces Table 2: the 8×8 multipliers with dsum = dcarry
 // versus the more realistic dsum = 2·dcarry, measured in parallel on the
 // engine's worker pool.
@@ -261,13 +233,6 @@ func table2Specs() []multSpec {
 		{"array", 8, 1, 1}, {"array", 8, 2, 1},
 		{"wallace", 8, 1, 1}, {"wallace", 8, 2, 1},
 	}
-}
-
-// Table2 is the package-level form of Engine.Table2.
-//
-// Deprecated: use DefaultEngine().Table2 with a context.
-func Table2(cycles int, seed uint64) ([]MultRow, error) {
-	return DefaultEngine().Table2(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
 }
 
 // multSpec names one multiplier measurement of Tables 1 and 2.
@@ -296,7 +261,7 @@ func (e *Engine) measureMultipliers(ctx context.Context, specs []multSpec, req E
 	jobs := make([]MeasureJob, len(specs))
 	for i, sp := range specs {
 		nl, dm := sp.build()
-		jobs[i] = MeasureJob{Netlist: nl, Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: dm}}
+		jobs[i] = MeasureJob{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: dm}}
 	}
 	rows := make([]MultRow, len(specs))
 	var rowEmit func(int, *MeasureResult)
@@ -346,19 +311,11 @@ func (e *Engine) DirectionDetector42(ctx context.Context, req ExperimentRequest)
 		cycles = 4320
 	}
 	nl := circuits.NewDirectionDetector(circuits.DirDetConfig{Width: 8, Style: circuits.Cells})
-	act, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Config: Config{Cycles: cycles, Seed: req.Seed}})
+	act, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: cycles, Seed: req.Seed}})
 	if err != nil {
 		return DirDetResult{}, err
 	}
 	return DirDetResult{Activity: act, BalanceLimit: act.BalanceLimitFactor()}, nil
-}
-
-// DirectionDetector42 is the package-level form of
-// Engine.DirectionDetector42.
-//
-// Deprecated: use DefaultEngine().DirectionDetector42 with a context.
-func DirectionDetector42(cycles int, seed uint64) (DirDetResult, error) {
-	return DefaultEngine().DirectionDetector42(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
 }
 
 // ---------------------------------------------------------------------------
@@ -450,13 +407,6 @@ func (e *Engine) Table3(ctx context.Context, req ExperimentRequest) ([]Table3Row
 	return e.powerSweep(ctx, plan.base, plan.dm, plan.targets, plan.maxLatency, req, nil)
 }
 
-// Table3 is the package-level form of Engine.Table3.
-//
-// Deprecated: use DefaultEngine().Table3 with a context.
-func Table3(cycles int, seed uint64) ([]Table3Row, error) {
-	return DefaultEngine().Table3(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
-}
-
 // Fig10Result is the Figure 10 experiment outcome: the subject circuit
 // measured as-is (Before — the actual sequential netlist, registers and
 // all, simulated without any retiming) and the retimed sweep (Points,
@@ -480,7 +430,7 @@ type Fig10Result struct {
 // pipelines are flushed before counting.
 func (e *Engine) measureUnretimed(ctx context.Context, base *netlist.Netlist, dm delay.Model, req ExperimentRequest) (Table3Row, error) {
 	bd, act, err := e.MeasurePower(ctx, MeasureRequest{
-		Netlist: base,
+		Circuit: CircuitFromNetlist(base),
 		Config:  Config{Cycles: req.Cycles, Seed: req.Seed},
 	})
 	if err != nil {
@@ -523,19 +473,6 @@ func (e *Engine) Figure10(ctx context.Context, req ExperimentRequest) (Fig10Resu
 	return Fig10Result{Subject: plan.base.Name, Before: before, Points: points}, nil
 }
 
-// Figure10 is the package-level form of Engine.Figure10, returning only
-// the sweep points (the historical shape; the before-retiming row is
-// available from the Engine form's Fig10Result).
-//
-// Deprecated: use DefaultEngine().Figure10 with a context.
-func Figure10(targets []int, cycles int, seed uint64) ([]Table3Row, error) {
-	res, err := DefaultEngine().Figure10(context.Background(), ExperimentRequest{Targets: targets, Cycles: cycles, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.Points, nil
-}
-
 // powerSweep retimes base for each target period and measures each
 // variant's power breakdown: the shared driver behind Table3 and
 // Figure10. Each variant retimes and measures independently, one worker
@@ -553,7 +490,7 @@ func (e *Engine) powerSweep(ctx context.Context, base *netlist.Netlist, dm delay
 			return fmt.Errorf("glitchsim: retiming target %d: %w", tgt, err)
 		}
 		bd, act, err := e.MeasurePower(ctx, MeasureRequest{
-			Netlist: res.Netlist,
+			Circuit: CircuitFromNetlist(res.Netlist),
 			Config:  Config{Cycles: req.Cycles, Seed: req.Seed, Warmup: res.Latency + 16},
 		})
 		if err != nil {
@@ -603,22 +540,15 @@ func (e *Engine) AblationInertial(ctx context.Context, req ExperimentRequest) (A
 		return AblationResult{}, err
 	}
 	nl := circuits.NewDirectionDetector(circuits.DirDetConfig{Width: 8, Style: circuits.Cells})
-	a, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical()}})
+	a, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical()}})
 	if err != nil {
 		return AblationResult{}, err
 	}
-	b, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical(), Inertial: true}})
+	b, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed, Delay: delay.Typical(), Inertial: true}})
 	if err != nil {
 		return AblationResult{}, err
 	}
 	return AblationResult{Name: "transport-vs-inertial", A: a, B: b}, nil
-}
-
-// AblationInertial is the package-level form of Engine.AblationInertial.
-//
-// Deprecated: use DefaultEngine().AblationInertial with a context.
-func AblationInertial(cycles int, seed uint64) (AblationResult, error) {
-	return DefaultEngine().AblationInertial(context.Background(), ExperimentRequest{Cycles: cycles, Seed: seed})
 }
 
 // AblationGranularity compares the compound-FA-cell and gate-level
@@ -634,28 +564,20 @@ func (e *Engine) AblationGranularity(ctx context.Context, req ExperimentRequest)
 		w = 8
 	}
 	a, err := e.Measure(ctx, MeasureRequest{
-		Netlist: circuits.NewRCA(w, circuits.Cells),
+		Circuit: CircuitFromNetlist(circuits.NewRCA(w, circuits.Cells)),
 		Config:  Config{Cycles: req.Cycles, Seed: req.Seed},
 	})
 	if err != nil {
 		return AblationResult{}, err
 	}
 	b, err := e.Measure(ctx, MeasureRequest{
-		Netlist: circuits.NewRCA(w, circuits.Gates),
+		Circuit: CircuitFromNetlist(circuits.NewRCA(w, circuits.Gates)),
 		Config:  Config{Cycles: req.Cycles, Seed: req.Seed},
 	})
 	if err != nil {
 		return AblationResult{}, err
 	}
 	return AblationResult{Name: "cells-vs-gates", A: a, B: b}, nil
-}
-
-// AblationGranularity is the package-level form of
-// Engine.AblationGranularity.
-//
-// Deprecated: use DefaultEngine().AblationGranularity with a context.
-func AblationGranularity(width, cycles int, seed uint64) (AblationResult, error) {
-	return DefaultEngine().AblationGranularity(context.Background(), ExperimentRequest{Width: width, Cycles: cycles, Seed: seed})
 }
 
 // ZeroDelayComparison quantifies how much a glitch-blind probabilistic
@@ -693,7 +615,7 @@ func (e *Engine) AblationZeroDelay(ctx context.Context, req ExperimentRequest) (
 	}
 	nl := circuits.NewRCA(w, circuits.Cells)
 	est := analytic.ZeroDelayActivityTotal(nl)
-	act, err := e.Measure(ctx, MeasureRequest{Netlist: nl, Config: Config{Cycles: req.Cycles, Seed: req.Seed}})
+	act, err := e.Measure(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Seed: req.Seed}})
 	if err != nil {
 		return ZeroDelayComparison{}, err
 	}
@@ -703,13 +625,6 @@ func (e *Engine) AblationZeroDelay(ctx context.Context, req ExperimentRequest) (
 		MeasuredPerCycle:  float64(act.Transitions) / float64(act.Cycles),
 		UsefulPerCycle:    float64(act.Useful) / float64(act.Cycles),
 	}, nil
-}
-
-// AblationZeroDelay is the package-level form of Engine.AblationZeroDelay.
-//
-// Deprecated: use DefaultEngine().AblationZeroDelay with a context.
-func AblationZeroDelay(width, cycles int, seed uint64) (ZeroDelayComparison, error) {
-	return DefaultEngine().AblationZeroDelay(context.Background(), ExperimentRequest{Width: width, Cycles: cycles, Seed: seed})
 }
 
 // SeedSweep re-runs the Table 1 array-vs-wallace comparison (8×8) for
@@ -727,8 +642,8 @@ func (e *Engine) SeedSweep(ctx context.Context, req ExperimentRequest) ([]Ablati
 	jobs := make([]MeasureJob, 0, 2*len(seeds))
 	for _, seed := range seeds {
 		jobs = append(jobs,
-			MeasureJob{Netlist: array, Config: Config{Cycles: req.Cycles, Seed: seed}},
-			MeasureJob{Netlist: wallace, Config: Config{Cycles: req.Cycles, Seed: seed}},
+			MeasureJob{Circuit: CircuitFromNetlist(array), Config: Config{Cycles: req.Cycles, Seed: seed}},
+			MeasureJob{Circuit: CircuitFromNetlist(wallace), Config: Config{Cycles: req.Cycles, Seed: seed}},
 		)
 	}
 	res, err := e.measureMany(ctx, jobs, 0, nil)
@@ -749,13 +664,6 @@ func (e *Engine) SeedSweep(ctx context.Context, req ExperimentRequest) ([]Ablati
 		}
 	}
 	return out, nil
-}
-
-// SeedSweep is the package-level form of Engine.SeedSweep.
-//
-// Deprecated: use DefaultEngine().SeedSweep with a context.
-func SeedSweep(cycles int, seeds []uint64) ([]AblationResult, error) {
-	return DefaultEngine().SeedSweep(context.Background(), ExperimentRequest{Cycles: cycles, Seeds: seeds})
 }
 
 // GraySweep compares random against Gray-code (single-bit-change) and
@@ -781,7 +689,7 @@ func (e *Engine) GraySweep(ctx context.Context, req ExperimentRequest) ([]Activi
 	}
 	jobs := make([]MeasureJob, len(sources))
 	for i, s := range sources {
-		jobs[i] = MeasureJob{Netlist: nl, Config: Config{Cycles: req.Cycles, Source: s.src}}
+		jobs[i] = MeasureJob{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: req.Cycles, Source: s.src}}
 	}
 	res, err := e.measureMany(ctx, jobs, 0, nil)
 	if err != nil {
@@ -796,11 +704,4 @@ func (e *Engine) GraySweep(ctx context.Context, req ExperimentRequest) ([]Activi
 		out[i].Circuit = nl.Name + "/" + s.name
 	}
 	return out, nil
-}
-
-// GraySweep is the package-level form of Engine.GraySweep.
-//
-// Deprecated: use DefaultEngine().GraySweep with a context.
-func GraySweep(cycles int) ([]Activity, error) {
-	return DefaultEngine().GraySweep(context.Background(), ExperimentRequest{Cycles: cycles})
 }

@@ -1,12 +1,14 @@
 package glitchsim
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestBalanceStudy(t *testing.T) {
-	rows, err := BalanceStudy(200, 1)
+	e, ctx := NewEngine(), context.Background()
+	rows, err := e.BalanceStudy(ctx, ExperimentRequest{Cycles: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +35,8 @@ func TestBalanceStudy(t *testing.T) {
 }
 
 func TestAdderStudy(t *testing.T) {
-	rows, err := AdderStudy(16, 500, 1)
+	e, ctx := NewEngine(), context.Background()
+	rows, err := e.AdderStudy(ctx, ExperimentRequest{Width: 16, Cycles: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,8 @@ func TestAdderStudy(t *testing.T) {
 }
 
 func TestCorrelationStudy(t *testing.T) {
-	rows, err := CorrelationStudy(3000, 99)
+	e, ctx := NewEngine(), context.Background()
+	rows, err := e.CorrelationStudy(ctx, ExperimentRequest{Cycles: 3000, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +85,8 @@ func TestCorrelationStudy(t *testing.T) {
 }
 
 func TestMultiplierStudy(t *testing.T) {
-	rows, err := MultiplierStudy(8, 400, 1)
+	e, ctx := NewEngine(), context.Background()
+	rows, err := e.MultiplierStudy(ctx, ExperimentRequest{Width: 8, Cycles: 400, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +115,8 @@ func TestMultiplierStudy(t *testing.T) {
 }
 
 func TestCompareEstimators(t *testing.T) {
-	res, err := CompareEstimators(16, 2000, 1)
+	e, ctx := NewEngine(), context.Background()
+	res, err := e.CompareEstimators(ctx, ExperimentRequest{Width: 16, Cycles: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +135,7 @@ func TestCompareEstimators(t *testing.T) {
 }
 
 func TestBalanceNetlistHelper(t *testing.T) {
+	e, ctx := NewEngine(), context.Background()
 	n := NewRCA(8)
 	bal, buffers, err := BalanceNetlist(n, nil)
 	if err != nil {
@@ -137,7 +144,7 @@ func TestBalanceNetlistHelper(t *testing.T) {
 	if buffers == 0 {
 		t.Error("expected buffers")
 	}
-	act, err := Measure(bal, Config{Cycles: 200})
+	act, err := e.MeasureCircuit(ctx, CircuitFromNetlist(bal), Config{Cycles: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +154,7 @@ func TestBalanceNetlistHelper(t *testing.T) {
 }
 
 func TestVerilogExportImport(t *testing.T) {
+	e, ctx := NewEngine(), context.Background()
 	n := NewRCA(4)
 	var sb strings.Builder
 	if err := ExportVerilog(&sb, n); err != nil {
@@ -159,11 +167,11 @@ func TestVerilogExportImport(t *testing.T) {
 	if back.NumCells() != n.NumCells() {
 		t.Errorf("cells %d -> %d", n.NumCells(), back.NumCells())
 	}
-	a1, err := Measure(n, Config{Cycles: 100, Seed: 3})
+	a1, err := e.MeasureCircuit(ctx, CircuitFromNetlist(n), Config{Cycles: 100, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Measure(back, Config{Cycles: 100, Seed: 3})
+	a2, err := e.MeasureCircuit(ctx, CircuitFromNetlist(back), Config{Cycles: 100, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ type Config struct {
 	// Tables 2 and 3, zero delay) rides the lane-masked wide-event
 	// kernel; both are bit-identical to running the L streams one after
 	// another on the scalar kernel. 0 selects the engine default
-	// (DefaultLanes, normally MaxLanes); 1 is the historical
+	// (WithLanes, normally MaxLanes); 1 is the historical
 	// single-stream measurement; values are capped at MaxLanes. Ignored
 	// when an explicit Source is set (external sources are inherently
 	// single-stream) or when at most one cycle is measured.
@@ -166,19 +166,6 @@ func (c Config) withDefaults(n *netlist.Netlist) Config {
 		c.Source = stimulus.NewRandom(n.InputWidth(), c.Seed)
 	}
 	return c
-}
-
-// MeasureDetailed simulates the netlist under the configuration and
-// returns the attached activity counter with per-net statistics.
-//
-// Deprecated: use DefaultEngine().MeasureDetailed (or your own Engine)
-// to get compiled-netlist caching and context cancellation. This wrapper
-// remains bit-identical to the equivalent Engine call; like every
-// measurement it uses the process-default lane decomposition (see
-// Config.Lanes — SetDefaultLanes(1) restores the pre-lanes
-// single-stream numbers).
-func MeasureDetailed(n *netlist.Netlist, cfg Config) (*core.Counter, error) {
-	return DefaultEngine().MeasureDetailed(context.Background(), MeasureRequest{Netlist: n, Config: cfg})
 }
 
 // measureCompiled is the measurement core shared by the Engine's entry
@@ -255,18 +242,6 @@ func measureStream(ctx context.Context, c *sim.Compiled, cfg Config) (*core.Coun
 	return counter, nil
 }
 
-// Measure runs MeasureDetailed and summarizes the totals.
-//
-// Deprecated: use DefaultEngine().Measure (or your own Engine) to get
-// compiled-netlist caching and context cancellation. This wrapper
-// remains bit-identical to the equivalent Engine call; like every
-// measurement it uses the process-default lane decomposition (see
-// Config.Lanes — SetDefaultLanes(1) restores the pre-lanes
-// single-stream numbers).
-func Measure(n *netlist.Netlist, cfg Config) (Activity, error) {
-	return DefaultEngine().Measure(context.Background(), MeasureRequest{Netlist: n, Config: cfg})
-}
-
 // ActivityFromCounter summarizes a counter's classified totals into an
 // Activity named after circuit — the same reduction every measurement
 // entry point applies. Useful for counters obtained from MeasureDetailed
@@ -286,19 +261,6 @@ func summarize(name string, counter *core.Counter) Activity {
 		Glitches:    t.Glitches,
 		Rising:      t.Rising,
 	}
-}
-
-// MeasurePower measures activity and evaluates the paper's
-// three-component power model on it.
-//
-// Deprecated: use DefaultEngine().MeasurePower (or your own Engine) to
-// get compiled-netlist caching and context cancellation. This wrapper
-// remains bit-identical to the equivalent Engine call; like every
-// measurement it uses the process-default lane decomposition (see
-// Config.Lanes — SetDefaultLanes(1) restores the pre-lanes
-// single-stream numbers).
-func MeasurePower(n *netlist.Netlist, cfg Config, tech power.Tech) (power.Breakdown, Activity, error) {
-	return DefaultEngine().MeasurePower(context.Background(), MeasureRequest{Netlist: n, Config: cfg, Tech: &tech})
 }
 
 // DefaultTech returns the calibrated 0.8 µm / 5 V / 5 MHz technology

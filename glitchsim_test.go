@@ -1,6 +1,7 @@
 package glitchsim
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,12 +11,13 @@ import (
 )
 
 func TestMeasureRCADeterministic(t *testing.T) {
+	e, ctx := NewEngine(), context.Background()
 	n := NewRCA(8)
-	a, err := Measure(n, Config{Cycles: 200, Seed: 7})
+	a, err := e.MeasureCircuit(ctx, CircuitFromNetlist(n), Config{Cycles: 200, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Measure(NewRCA(8), Config{Cycles: 200, Seed: 7})
+	b, err := e.MeasureCircuit(ctx, CircuitFromNetlist(NewRCA(8)), Config{Cycles: 200, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +36,17 @@ func TestMeasureRCADeterministic(t *testing.T) {
 }
 
 func TestMeasureSeedsDiffer(t *testing.T) {
-	a, _ := Measure(NewRCA(8), Config{Cycles: 200, Seed: 1})
-	b, _ := Measure(NewRCA(8), Config{Cycles: 200, Seed: 2})
+	e, ctx := NewEngine(), context.Background()
+	a, _ := e.MeasureCircuit(ctx, CircuitFromNetlist(NewRCA(8)), Config{Cycles: 200, Seed: 1})
+	b, _ := e.MeasureCircuit(ctx, CircuitFromNetlist(NewRCA(8)), Config{Cycles: 200, Seed: 2})
 	if a.Transitions == b.Transitions {
 		t.Error("different seeds gave identical transition counts (suspicious)")
 	}
 }
 
 func TestMeasureRejectsWrongSourceWidth(t *testing.T) {
-	if _, err := Measure(NewRCA(8), Config{Source: stimulus.NewRandom(3, 1)}); err == nil {
+	e, ctx := NewEngine(), context.Background()
+	if _, err := e.MeasureCircuit(ctx, CircuitFromNetlist(NewRCA(8)), Config{Source: stimulus.NewRandom(3, 1)}); err == nil {
 		t.Fatal("expected width error")
 	}
 }
@@ -50,12 +54,13 @@ func TestMeasureRejectsWrongSourceWidth(t *testing.T) {
 func TestMeasureMatchesAnalyticRCA(t *testing.T) {
 	// The simulated per-cycle ratios of a 16-bit RCA must match the
 	// closed forms within sampling noise (~1% at 20000 cycles).
+	e, ctx := NewEngine(), context.Background()
 	const cycles = 20000
-	act, err := Measure(NewRCA(16), Config{Cycles: cycles, Seed: 3})
+	act, err := e.MeasureCircuit(ctx, CircuitFromNetlist(NewRCA(16)), Config{Cycles: cycles, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Figure5(16, cycles, 3)
+	res, err := e.Figure5(ctx, ExperimentRequest{Width: 16, Cycles: cycles, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +76,9 @@ func TestMeasureMatchesAnalyticRCA(t *testing.T) {
 }
 
 func TestWorstCase(t *testing.T) {
+	e, ctx := NewEngine(), context.Background()
 	for _, n := range []int{2, 4, 8, 16} {
-		res, err := WorstCase(n)
+		res, err := e.WorstCase(ctx, ExperimentRequest{Width: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,14 +94,15 @@ func TestWorstCase(t *testing.T) {
 			t.Errorf("N=%d: probability %v", n, res.Probability)
 		}
 	}
-	if _, err := WorstCase(1); err == nil {
+	if _, err := e.WorstCase(ctx, ExperimentRequest{Width: 1}); err == nil {
 		t.Error("expected error for N=1")
 	}
 }
 
 func TestFigure5SimTracksAnalytic(t *testing.T) {
+	e, ctx := NewEngine(), context.Background()
 	const cycles = 4000
-	res, err := Figure5(16, cycles, 1)
+	res, err := e.Figure5(ctx, ExperimentRequest{Width: 16, Cycles: cycles, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +133,8 @@ func TestFigure5SimTracksAnalytic(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	rows, err := Table1(500, 1)
+	e, ctx := NewEngine(), context.Background()
+	rows, err := e.Table1(ctx, ExperimentRequest{Cycles: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +175,8 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	rows, err := Table2(500, 1)
+	e, ctx := NewEngine(), context.Background()
+	rows, err := e.Table2(ctx, ExperimentRequest{Cycles: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +206,8 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestDirectionDetector42(t *testing.T) {
-	res, err := DirectionDetector42(4320, 1)
+	e, ctx := NewEngine(), context.Background()
+	res, err := e.DirectionDetector42(ctx, ExperimentRequest{Cycles: 4320, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +225,8 @@ func TestDirectionDetector42(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	rows, err := Table3(200, 1)
+	e, ctx := NewEngine(), context.Background()
+	rows, err := e.Table3(ctx, ExperimentRequest{Cycles: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +278,8 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestAblationInertial(t *testing.T) {
-	res, err := AblationInertial(300, 1)
+	e, ctx := NewEngine(), context.Background()
+	res, err := e.AblationInertial(ctx, ExperimentRequest{Cycles: 300, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +292,8 @@ func TestAblationInertial(t *testing.T) {
 }
 
 func TestAblationGranularity(t *testing.T) {
-	res, err := AblationGranularity(8, 300, 1)
+	e, ctx := NewEngine(), context.Background()
+	res, err := e.AblationGranularity(ctx, ExperimentRequest{Width: 8, Cycles: 300, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +304,8 @@ func TestAblationGranularity(t *testing.T) {
 }
 
 func TestAblationZeroDelay(t *testing.T) {
-	res, err := AblationZeroDelay(16, 2000, 1)
+	e, ctx := NewEngine(), context.Background()
+	res, err := e.AblationZeroDelay(ctx, ExperimentRequest{Width: 16, Cycles: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +321,8 @@ func TestAblationZeroDelay(t *testing.T) {
 }
 
 func TestSeedSweepStability(t *testing.T) {
-	rows, err := SeedSweep(300, []uint64{1, 2, 3})
+	e, ctx := NewEngine(), context.Background()
+	rows, err := e.SeedSweep(ctx, ExperimentRequest{Cycles: 300, Seeds: []uint64{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +346,8 @@ func TestSeedSweepStability(t *testing.T) {
 }
 
 func TestGraySweep(t *testing.T) {
-	rows, err := GraySweep(300)
+	e, ctx := NewEngine(), context.Background()
+	rows, err := e.GraySweep(ctx, ExperimentRequest{Cycles: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,10 +361,12 @@ func TestGraySweep(t *testing.T) {
 }
 
 func TestFigure10Defaults(t *testing.T) {
-	rows, err := Figure10(nil, 100, 1)
+	e, ctx := NewEngine(), context.Background()
+	res, err := e.Figure10(ctx, ExperimentRequest{Cycles: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Points
 	if len(rows) < 5 {
 		t.Fatalf("expected a sweep, got %d points", len(rows))
 	}
@@ -370,8 +388,9 @@ func TestFigure10Defaults(t *testing.T) {
 }
 
 func TestMeasurePowerConsistency(t *testing.T) {
+	e, ctx := NewEngine(), context.Background()
 	nl := NewDirectionDetector(8, true)
-	bd, act, err := MeasurePower(nl, Config{Cycles: 100}, DefaultTech())
+	bd, act, err := e.MeasurePower(ctx, MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,12 +405,13 @@ func TestMeasurePowerConsistency(t *testing.T) {
 func TestInertialOptionReachesSimulator(t *testing.T) {
 	// Same seed, inertial vs transport under heterogeneous delays must
 	// differ (under pure unit delay the modes coincide by construction).
+	e, ctx := NewEngine(), context.Background()
 	nl := NewDirectionDetector(8, false)
-	a, err := Measure(nl, Config{Cycles: 100, Delay: delay.Typical()})
+	a, err := e.MeasureCircuit(ctx, CircuitFromNetlist(nl), Config{Cycles: 100, Delay: delay.Typical()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Measure(nl, Config{Cycles: 100, Delay: delay.Typical(), Inertial: true})
+	b, err := e.MeasureCircuit(ctx, CircuitFromNetlist(nl), Config{Cycles: 100, Delay: delay.Typical(), Inertial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

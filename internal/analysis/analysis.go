@@ -110,25 +110,6 @@ func hotPathFuncs(pass *Pass) []*ast.FuncDecl {
 	return out
 }
 
-// funcDoc returns the doc comment text of the function declaration
-// enclosing pos, or "".
-func funcDoc(pass *Pass, pos token.Pos) string {
-	for _, f := range pass.Files {
-		if f.Pos() <= pos && pos <= f.End() {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				if fn.Pos() <= pos && pos <= fn.End() {
-					return fn.Doc.Text()
-				}
-			}
-		}
-	}
-	return ""
-}
-
 // calleePkgPath returns the import path of the package a call's callee
 // belongs to ("" for builtins, locals and method values that cannot be
 // resolved), plus the callee's name.

@@ -12,11 +12,12 @@ func alsoBad() context.Context {
 	return context.TODO() // want `context\.TODO\(\) in a library path detaches cancellation`
 }
 
-// oldEntry runs the study with defaults.
+// oldEntry runs the study with defaults. A Deprecated: doc comment
+// earns no exemption.
 //
 // Deprecated: use NewEntry with an explicit context.
 func oldEntry() context.Context {
-	return context.Background() // Deprecated wrapper: allowed
+	return context.Background() // want `context\.Background\(\) in a library path detaches cancellation`
 }
 
 func plumbed(ctx context.Context) context.Context {

@@ -2,14 +2,14 @@ package jobs
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
+
+	"glitchsim/internal/durable"
 )
 
 // Store persists job records across manager restarts. The manager
@@ -82,35 +82,23 @@ func (s *MemStore) Delete(id string) error {
 }
 
 // FileStore persists each record as one pretty-printed JSON document,
-// <dir>/<id>.json, written atomically (temp file + rename) so a crash
-// mid-write never leaves a truncated record. Job IDs are 16 hex digits
-// (see newID), so the ID is used as the file name verbatim; defensive
-// validation rejects anything else to keep the store inside its
-// directory.
+// <dir>/<id>.json, written atomically and fsynced (durable.WriteFile)
+// so a crash mid-write never leaves a truncated record. Job IDs are 16
+// hex digits (see newID), so the ID is used as the file name verbatim;
+// defensive validation rejects anything else to keep the store inside
+// its directory.
 type FileStore struct {
 	dir string
 	mu  sync.Mutex
 }
 
 // NewFileStore opens (creating if needed) the store directory and
-// sweeps temp files left by writes a crash interrupted: a dot-prefixed
-// ".<id>.tmp-*" file is a Put whose rename never happened, so its
-// content was never promised to a reader — deleting it is the correct
-// recovery (the previous complete version of the record, if any, is
-// still in place).
+// sweeps temp files left by writes a crash interrupted (see
+// durable.OpenDir): the previous complete version of each record, if
+// any, is still in place.
 func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobs: creating store directory: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: scanning store directory: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-") {
-			_ = os.Remove(filepath.Join(dir, name))
-		}
+	if _, err := durable.OpenDir(dir); err != nil {
+		return nil, fmt.Errorf("jobs: opening store: %w", err)
 	}
 	return &FileStore{dir: dir}, nil
 }
@@ -127,8 +115,7 @@ func (s *FileStore) path(id string) (string, error) {
 
 // Put implements Store.
 func (s *FileStore) Put(rec Record) error {
-	path, err := s.path(rec.ID)
-	if err != nil {
+	if _, err := s.path(rec.ID); err != nil {
 		return err
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")
@@ -137,46 +124,8 @@ func (s *FileStore) Put(rec Record) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp, err := os.CreateTemp(s.dir, "."+rec.ID+".tmp-")
-	if err != nil {
+	if err := durable.WriteFile(s.dir, rec.ID, append(data, '\n')); err != nil {
 		return fmt.Errorf("jobs: writing record %s: %w", rec.ID, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobs: writing record %s: %w", rec.ID, err)
-	}
-	// fsync before the rename and fsync the directory after it: the
-	// rename must never become visible ahead of the bytes it points to,
-	// and the new directory entry itself must reach the disk — otherwise
-	// a power cut can roll a checkpointed record back to an older (or
-	// missing) version after the manager already promised durability.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobs: syncing record %s: %w", rec.ID, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("jobs: writing record %s: %w", rec.ID, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("jobs: writing record %s: %w", rec.ID, err)
-	}
-	return syncDir(s.dir, rec.ID)
-}
-
-// syncDir fsyncs the store directory so a just-renamed record's
-// directory entry is durable. Filesystems that refuse to sync a
-// directory handle (some CI sandboxes and network mounts) degrade
-// durability, not availability: the rename already happened, so the
-// record is visible to every reader.
-func syncDir(dir, id string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("jobs: opening store directory for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("jobs: syncing store directory for record %s: %w", id, err)
 	}
 	return nil
 }

@@ -71,12 +71,15 @@ func newUploadStore(capacity int) *uploadStore {
 // put stores (or refreshes) a circuit, writes it through to the durable
 // store, and returns its handle. The least recently used upload is
 // evicted past the capacity bound (from memory only — never from disk).
-func (u *uploadStore) put(n *netlist.Netlist) CircuitInfo {
+// A failed durable write is returned alongside the handle: the circuit
+// stays resolvable from memory, but the caller must not report it as
+// persisted.
+func (u *uploadStore) put(n *netlist.Netlist) (CircuitInfo, error) {
 	info := u.putMem(n)
 	if u.disk != nil {
-		u.disk.save(n, info)
+		return info, u.disk.save(n, info)
 	}
-	return info
+	return info, nil
 }
 
 // putMem is the memory-only half of put: the durable store's lazy
@@ -294,7 +297,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			warnings = append(warnings, f)
 		}
 	}
-	s.writeOK(w, UploadResponse{CircuitInfo: s.uploads.put(n), Warnings: warnings})
+	info, err := s.uploads.put(n)
+	if err != nil {
+		// The detail names server paths: log it, answer generically.
+		s.logf("service: %v", err)
+		s.writeError(w, http.StatusInternalServerError, CodeInternal, fmt.Errorf("upload %s could not be persisted", info.Fingerprint))
+		return
+	}
+	s.writeOK(w, UploadResponse{CircuitInfo: info, Warnings: warnings})
 }
 
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"glitchsim/internal/durable"
 	"glitchsim/netlist"
 )
 
@@ -16,10 +17,11 @@ import (
 // also written to disk as a <fingerprint>.json document, and uploads
 // survive a server restart — a measurement referencing a fingerprint
 // from before the restart resolves by lazily reloading the netlist from
-// disk into the in-memory LRU. The on-disk discipline mirrors
-// jobs.FileStore: writes go to a dot-prefixed temp file in the same
-// directory and are renamed into place, so a crash mid-write leaves a
-// stale temp (swept at startup) and never a torn document. Corrupt or
+// disk into the in-memory LRU. The on-disk discipline is the one
+// jobs.FileStore uses (durable.WriteFile): writes go to a dot-prefixed
+// temp file in the same directory, are fsynced and renamed into place,
+// and the directory is fsynced, so a crash mid-write leaves a stale
+// temp (swept at startup) and never a torn document. Corrupt or
 // tampered documents (unparseable, or whose netlist no longer hashes to
 // the fingerprint in their name) are skipped with a log line, never
 // served.
@@ -73,26 +75,14 @@ type circuitDisk struct {
 // verification happens on load, keeping startup proportional to the
 // catalogue size, not the circuit sizes.
 func openCircuitDisk(dir string, logf func(format string, args ...any)) (*circuitDisk, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("creating upload dir: %w", err)
+	entries, err := durable.OpenDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("upload dir: %w", err)
 	}
 	d := &circuitDisk{dir: dir, logf: logf, infos: map[string]CircuitInfo{}}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("scanning upload dir: %w", err)
-	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, ".") {
-			// A dot-prefixed file is an interrupted write's temp file:
-			// its rename never happened, so its content was never
-			// promised to anyone. Sweep it.
-			if strings.Contains(name, ".tmp-") {
-				_ = os.Remove(filepath.Join(dir, name))
-			}
+		if e.IsDir() || strings.HasPrefix(name, ".") {
 			continue
 		}
 		fp, ok := strings.CutSuffix(name, ".json")
@@ -130,14 +120,13 @@ func (d *circuitDisk) readDoc(fp string) (*circuitDoc, error) {
 	return &doc, nil
 }
 
-// save persists one upload: temp file in the same directory, fsync-free
-// write, atomic rename. Failures are logged and non-fatal — the upload
-// still lives in the in-memory LRU.
-func (d *circuitDisk) save(n *netlist.Netlist, info CircuitInfo) {
+// save persists one upload through durable.WriteFile (fsynced file and
+// directory, atomic rename). A failure leaves any previous document in
+// place and is returned, so the upload is not acknowledged as durable.
+func (d *circuitDisk) save(n *netlist.Netlist, info CircuitInfo) error {
 	var nlbuf bytes.Buffer
 	if err := n.WriteJSON(&nlbuf); err != nil {
-		d.logf("service: persisting upload %s: %v", info.Fingerprint, err)
-		return
+		return fmt.Errorf("persisting upload %s: %w", info.Fingerprint, err)
 	}
 	raw, err := json.MarshalIndent(circuitDoc{
 		Fingerprint: info.Fingerprint,
@@ -145,31 +134,15 @@ func (d *circuitDisk) save(n *netlist.Netlist, info CircuitInfo) {
 		Netlist:     json.RawMessage(bytes.TrimSpace(nlbuf.Bytes())),
 	}, "", "  ")
 	if err != nil {
-		d.logf("service: persisting upload %s: %v", info.Fingerprint, err)
-		return
+		return fmt.Errorf("persisting upload %s: %w", info.Fingerprint, err)
 	}
-	f, err := os.CreateTemp(d.dir, "."+info.Fingerprint+".tmp-")
-	if err != nil {
-		d.logf("service: persisting upload %s: %v", info.Fingerprint, err)
-		return
-	}
-	tmp := f.Name()
-	_, werr := f.Write(raw)
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, filepath.Join(d.dir, info.Fingerprint+".json"))
-	}
-	if werr != nil {
-		_ = os.Remove(tmp)
-		d.logf("service: persisting upload %s: %v", info.Fingerprint, werr)
-		return
+	if err := durable.WriteFile(d.dir, info.Fingerprint, raw); err != nil {
+		return fmt.Errorf("persisting upload %s: %w", info.Fingerprint, err)
 	}
 	d.mu.Lock()
 	d.infos[info.Fingerprint] = info
 	d.mu.Unlock()
+	return nil
 }
 
 // load reads, parses and verifies one persisted circuit. A document

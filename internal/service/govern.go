@@ -57,7 +57,7 @@ func (s *Server) admitMeasure(w http.ResponseWriter, nl *netlist.Netlist, cfg gl
 	if s.limits.IsZero() {
 		return true
 	}
-	est, err := s.engine.EstimateCost(glitchsim.MeasureRequest{Netlist: nl, Config: cfg})
+	est, err := s.engine.EstimateCost(glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(nl), Config: cfg})
 	if err != nil {
 		// Estimation never fails for an already-resolved netlist; fail
 		// open rather than reject on an internal inconsistency.

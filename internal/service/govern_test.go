@@ -304,6 +304,32 @@ func TestDurableUploadsSkipCorrupt(t *testing.T) {
 	}
 }
 
+// TestDurableUploadSaveFailureIs500: when the upload directory becomes
+// unusable after the server opened it, an upload cannot be persisted
+// and the client is told so (500 internal) instead of a 200 that
+// promises durability. Replacing the directory with a regular file
+// breaks the write even when the test runs as root.
+func TestDurableUploadSaveFailureIs500(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "uploads")
+	ts := httptest.NewServer(New(glitchsim.NewEngine(), WithUploadDir(dir)))
+	t.Cleanup(ts.Close)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	src, _ := verilogSource(t, "rca4")
+	resp := uploadEnvelope(t, ts, "verilog", src)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("upload into unusable dir: status %d, want 500", resp.StatusCode)
+	}
+	if e := decodeBody[ErrorResponse](t, resp); e.Code != CodeInternal {
+		t.Fatalf("upload into unusable dir: code %q, want %q", e.Code, CodeInternal)
+	}
+}
+
 // TestErrorCodes: the stable code field on the pre-existing failure
 // paths.
 func TestErrorCodes(t *testing.T) {

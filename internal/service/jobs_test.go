@@ -362,7 +362,7 @@ func holdEngineSlot(t *testing.T, e *glitchsim.Engine) (release func()) {
 	go func() {
 		defer close(done)
 		_, _ = e.Measure(context.Background(), glitchsim.MeasureRequest{
-			Netlist: nl, Config: glitchsim.Config{Cycles: 1, Source: src},
+			Circuit: glitchsim.CircuitFromNetlist(nl), Config: glitchsim.Config{Cycles: 1, Source: src},
 		})
 	}()
 	<-src.started

@@ -310,12 +310,12 @@ func (s *Server) measure(ctx context.Context, sess *glitchsim.Session, nl *netli
 	// defaults), so the reply can name the kernel without threading it
 	// out of the measurement itself. Seed sweeps run every seed on the
 	// same kernel (the seed never influences selection).
-	kernel, err := s.engine.SelectedKernel(glitchsim.MeasureRequest{Netlist: nl, Config: cfg})
+	kernel, err := s.engine.SelectedKernel(glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(nl), Config: cfg})
 	if err != nil {
 		return nil, err
 	}
 	if len(p.Seeds) > 0 {
-		req := glitchsim.SeedSweepRequest{Netlist: nl, Config: cfg, Seeds: p.Seeds}
+		req := glitchsim.SeedSweepRequest{Circuit: glitchsim.CircuitFromNetlist(nl), Config: cfg, Seeds: p.Seeds}
 		var counter *core.Counter
 		var err error
 		if sess != nil {
@@ -339,7 +339,7 @@ func (s *Server) measure(ctx context.Context, sess *glitchsim.Session, nl *netli
 		return resp, nil
 	}
 
-	req := glitchsim.MeasureRequest{Netlist: nl, Config: cfg}
+	req := glitchsim.MeasureRequest{Circuit: glitchsim.CircuitFromNetlist(nl), Config: cfg}
 	if p.Power {
 		var bd power.Breakdown
 		var act glitchsim.Activity

@@ -182,10 +182,8 @@ func TestSequentialMeasureLanes(t *testing.T) {
 
 // TestSequentialFigure10BeforeAfter: Figure 10 now reports the actual
 // sequential subject measured before retiming. The before row is golden
-// against an independent MeasurePower of the unretimed netlist, the
-// sweep points are bit-identical to the historical package-level
-// Figure10, and the session stream carries before as row 0 of
-// targets+1.
+// against an independent MeasurePower of the unretimed netlist, and
+// the session stream carries before as row 0 of targets+1.
 func TestSequentialFigure10BeforeAfter(t *testing.T) {
 	e := NewEngine()
 	ctx := context.Background()
@@ -205,7 +203,7 @@ func TestSequentialFigure10BeforeAfter(t *testing.T) {
 	// Golden: the before row is the unretimed subject, measured with the
 	// ordinary power path under the default (sequential-aware) warm-up.
 	base := buildRegistry(t, "dirdet8r")
-	bd, act, err := e.MeasurePower(ctx, MeasureRequest{Netlist: base, Config: Config{Cycles: req.Cycles, Seed: req.Seed}})
+	bd, act, err := e.MeasurePower(ctx, MeasureRequest{Circuit: CircuitFromNetlist(base), Config: Config{Cycles: req.Cycles, Seed: req.Seed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,21 +215,6 @@ func TestSequentialFigure10BeforeAfter(t *testing.T) {
 	}
 	if want := retime.FromNetlist(base, delay.Unit(), 0).ClockPeriod(nil); b.Period != want {
 		t.Errorf("before period = %d, want critical path %d", b.Period, want)
-	}
-
-	// Historical shape: the deprecated wrapper still returns exactly the
-	// sweep points.
-	rows, err := Figure10(nil, req.Cycles, req.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(res.Points) {
-		t.Fatalf("package Figure10 returned %d rows, engine sweep %d", len(rows), len(res.Points))
-	}
-	for i := range rows {
-		if rows[i] != res.Points[i] {
-			t.Errorf("point %d differs between package and engine forms:\n%+v\n%+v", i, rows[i], res.Points[i])
-		}
 	}
 
 	// Session stream: before is row 0 of targets+1, sweep rows follow.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"glitchsim/internal/core"
@@ -35,42 +34,16 @@ import (
 // exactly Cycles classified cycles. Only the pairing of consecutive
 // vectors differs from a single-stream run, so lane-decomposed activity
 // numbers are deterministic per (seed, lanes) but differ from the
-// historical Lanes=1 stream. Set Lanes=1 (or SetDefaultLanes(1)) to
-// reproduce pre-lanes measurements exactly.
+// historical Lanes=1 stream. Set Lanes=1 (Config.Lanes or WithLanes)
+// to reproduce pre-lanes measurements exactly.
 
 // MaxLanes is the largest lane count a measurement can request: the
 // 64-lane machine word of the bit-parallel kernel.
 const MaxLanes = sim.MaxLanes
 
-// defaultLanes holds the process-wide lane default; 0 means MaxLanes.
-var defaultLanes atomic.Int32
-
-// SetDefaultLanes sets the lane count used by measurements whose Config
-// and Engine do not specify one: n = 1 restores the historical
-// single-stream behaviour, n <= 0 restores the default of MaxLanes, and
-// n is capped at MaxLanes. The cmd/glitchsim -lanes flag calls this.
-func SetDefaultLanes(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > MaxLanes {
-		n = MaxLanes
-	}
-	defaultLanes.Store(int32(n))
-}
-
-// DefaultLanes returns the current process-wide lane default.
-func DefaultLanes() int {
-	if n := defaultLanes.Load(); n > 0 {
-		return int(n)
-	}
-	return MaxLanes
-}
-
 // WithLanes fixes the engine's lane count for measurements whose Config
-// does not specify one. n <= 0 (the default) tracks the process-wide
-// DefaultLanes value, which the -lanes CLI flag sets; n is capped at
-// MaxLanes.
+// does not specify one. n <= 0 (the default) selects MaxLanes; n is
+// capped at MaxLanes.
 func WithLanes(n int) EngineOption {
 	return func(e *Engine) {
 		if n < 0 {
@@ -88,15 +61,14 @@ func WithLanes(n int) EngineOption {
 func (e *Engine) Lanes() int { return e.laneCount(Config{}) }
 
 // laneCount resolves the effective lane count of a measurement: an
-// explicit Config.Lanes wins, then the engine option, then the process
-// default.
+// explicit Config.Lanes wins, then the engine option, then MaxLanes.
 func (e *Engine) laneCount(cfg Config) int {
 	n := cfg.Lanes
 	if n == 0 {
 		n = e.lanes
 	}
 	if n == 0 {
-		n = DefaultLanes()
+		n = MaxLanes
 	}
 	if n < 1 {
 		n = 1
@@ -193,7 +165,7 @@ func kernelFor(c *sim.Compiled, cfg Config, lanes int) Kernel {
 // resolved configuration and the engine's lane/delay defaults — so the
 // prediction is exact.
 func (e *Engine) SelectedKernel(req MeasureRequest) (Kernel, error) {
-	nl, err := e.requestNetlist(req.Netlist, req.Circuit)
+	nl, err := e.requestNetlist(req.Circuit)
 	if err != nil {
 		return "", err
 	}

@@ -8,6 +8,7 @@ package glitchsim
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"glitchsim/internal/circuits"
@@ -182,12 +183,12 @@ func TestSelectedKernel(t *testing.T) {
 		req  MeasureRequest
 		want Kernel
 	}{
-		{"default-unit", MeasureRequest{Netlist: nl}, KernelWideLockstep},
-		{"faratio", MeasureRequest{Netlist: nl, Config: Config{Delay: delay.FullAdderRatio(2, 1)}}, KernelWideEvent},
-		{"typical-inertial", MeasureRequest{Netlist: nl, Config: Config{Delay: delay.Typical(), Inertial: true}}, KernelWideEvent},
-		{"zero", MeasureRequest{Netlist: nl, Config: Config{Delay: delay.Zero()}}, KernelWideEvent},
-		{"lanes1", MeasureRequest{Netlist: nl, Config: Config{Lanes: 1}}, KernelScalar},
-		{"one-cycle", MeasureRequest{Netlist: nl, Config: Config{Cycles: 1}}, KernelScalar},
+		{"default-unit", MeasureRequest{Circuit: CircuitFromNetlist(nl)}, KernelWideLockstep},
+		{"faratio", MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Delay: delay.FullAdderRatio(2, 1)}}, KernelWideEvent},
+		{"typical-inertial", MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Delay: delay.Typical(), Inertial: true}}, KernelWideEvent},
+		{"zero", MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Delay: delay.Zero()}}, KernelWideEvent},
+		{"lanes1", MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Lanes: 1}}, KernelScalar},
+		{"one-cycle", MeasureRequest{Circuit: CircuitFromNetlist(nl), Config: Config{Cycles: 1}}, KernelScalar},
 	} {
 		got, err := e.SelectedKernel(tc.req)
 		if err != nil {
@@ -199,8 +200,8 @@ func TestSelectedKernel(t *testing.T) {
 	}
 }
 
-// TestConfigLanesOverridesEngine: Config.Lanes wins over the engine
-// option, which wins over the process default.
+// TestConfigLanesOverridesEngine: laneCount precedence is Config.Lanes,
+// then the WithLanes option, then MaxLanes; out-of-range values clamp.
 func TestConfigLanesOverridesEngine(t *testing.T) {
 	e := NewEngine(WithLanes(4))
 	if got := e.laneCount(Config{}); got != 4 {
@@ -212,16 +213,35 @@ func TestConfigLanesOverridesEngine(t *testing.T) {
 	if got := e.laneCount(Config{Lanes: 999}); got != MaxLanes {
 		t.Errorf("overlarge lanes = %d, want %d", got, MaxLanes)
 	}
+	if got := NewEngine(WithLanes(1)).laneCount(Config{}); got != 1 {
+		t.Errorf("WithLanes(1): lanes = %d, want 1", got)
+	}
+	if got := NewEngine(WithLanes(999)).laneCount(Config{}); got != MaxLanes {
+		t.Errorf("WithLanes(999): lanes = %d, want %d", got, MaxLanes)
+	}
 	def := NewEngine()
-	if got := def.laneCount(Config{}); got != DefaultLanes() {
-		t.Errorf("default lanes = %d, want %d", got, DefaultLanes())
-	}
-	SetDefaultLanes(1)
-	if got := def.laneCount(Config{}); got != 1 {
-		t.Errorf("SetDefaultLanes(1): lanes = %d", got)
-	}
-	SetDefaultLanes(0)
 	if got := def.laneCount(Config{}); got != MaxLanes {
-		t.Errorf("SetDefaultLanes(0): lanes = %d, want %d", got, MaxLanes)
+		t.Errorf("default lanes = %d, want %d", got, MaxLanes)
+	}
+	if got := def.laneCount(Config{Lanes: 1}); got != 1 {
+		t.Errorf("config lanes on default engine = %d, want 1", got)
+	}
+}
+
+// TestWorkerCountPrecedence: a per-request worker count wins, then the
+// WithWorkers option, then GOMAXPROCS.
+func TestWorkerCountPrecedence(t *testing.T) {
+	e := NewEngine(WithWorkers(3))
+	if got := e.workerCount(0); got != 3 {
+		t.Errorf("engine workers = %d, want 3", got)
+	}
+	if got := e.workerCount(5); got != 5 {
+		t.Errorf("request workers = %d, want 5", got)
+	}
+	if got, want := NewEngine().workerCount(0), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("default workers = %d, want GOMAXPROCS %d", got, want)
+	}
+	if got, want := NewEngine(WithWorkers(-2)).Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("WithWorkers(-2) workers = %d, want GOMAXPROCS %d", got, want)
 	}
 }
