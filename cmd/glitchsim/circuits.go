@@ -11,23 +11,11 @@ import (
 )
 
 // The circuit catalogue lives in internal/registry, shared with the
-// glitchsimd service so both resolve the same names. These helpers keep
-// the CLI's historical shape, extended with user-supplied circuits: any
-// subcommand with a -circuit flag also takes -verilog file.v or
-// -netlist file.json, so the whole toolchain (sim, vcd, stats, power,
-// retime, exports) runs on bring-your-own circuits.
-
-func buildHazard() *netlist.Netlist {
-	n, err := registry.Build("hazard")
-	if err != nil {
-		panic(err) // unreachable: "hazard" is a registry name
-	}
-	return n
-}
-
-func circuitNames() string { return registry.NameList() }
-
-func buildCircuit(name string) (*netlist.Netlist, error) { return registry.Build(name) }
+// glitchsimd service so both resolve the same names. Any subcommand
+// with a -circuit flag also takes -verilog file.v or -netlist
+// file.json, so the whole toolchain (sim, vcd, stats, power, retime,
+// exports) runs on bring-your-own circuits; circuitSelector.build
+// resolves all three through the engine.
 
 // circuitSelector bundles the three ways a subcommand names its
 // circuit: -circuit <registry name>, -verilog <file.v>, -netlist
@@ -42,7 +30,7 @@ type circuitSelector struct {
 // subcommand's flag set, with def as the default registry circuit.
 func addCircuitFlags(fs *flag.FlagSet, def string) *circuitSelector {
 	return &circuitSelector{
-		name:    fs.String("circuit", def, "circuit name ("+circuitNames()+")"),
+		name:    fs.String("circuit", def, "circuit name ("+registry.NameList()+")"),
 		verilog: fs.String("verilog", "", "read the circuit from a structural Verilog `file` instead of -circuit"),
 		json:    fs.String("netlist", "", "read the circuit from a JSON netlist `file` instead of -circuit"),
 	}

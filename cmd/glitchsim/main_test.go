@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -8,15 +9,25 @@ import (
 	"testing"
 
 	"glitchsim"
-	"glitchsim/internal/delay"
 	"glitchsim/internal/registry"
 	"glitchsim/netlist"
 	"glitchsim/verilog"
 )
 
+// selectCircuit resolves a subcommand's circuit flags the way the
+// subcommands do: addCircuitFlags, then circuitSelector.build.
+func selectCircuit(args ...string) (*netlist.Netlist, error) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	sel := addCircuitFlags(fs, "rca16")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return sel.build(glitchsim.NewEngine())
+}
+
 func TestBuildCircuitAllNames(t *testing.T) {
-	for _, name := range registry.Names() {
-		n, err := buildCircuit(name)
+	for _, name := range glitchsim.BuiltinCircuits() {
+		n, err := selectCircuit("-circuit", name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -30,16 +41,22 @@ func TestBuildCircuitAllNames(t *testing.T) {
 }
 
 func TestBuildCircuitUnknown(t *testing.T) {
-	_, err := buildCircuit("nope")
-	if err == nil || !strings.Contains(err.Error(), "available") {
-		t.Fatalf("want descriptive error, got %v", err)
+	_, err := selectCircuit("-circuit", "nope")
+	if !errors.Is(err, glitchsim.ErrUnknownCircuit) || !strings.Contains(err.Error(), "available") {
+		t.Fatalf("want descriptive unknown-circuit error, got %v", err)
 	}
 }
 
+// TestCircuitNamesSorted: the -circuit flag's help text lists every
+// built-in circuit, sorted.
 func TestCircuitNamesSorted(t *testing.T) {
-	names := strings.Split(circuitNames(), ", ")
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	addCircuitFlags(fs, "rca16")
+	usage := fs.Lookup("circuit").Usage
+	list := strings.TrimSuffix(strings.TrimPrefix(usage, "circuit name ("), ")")
+	names := strings.Split(list, ", ")
 	if len(names) != len(registry.Names()) {
-		t.Fatal("name list incomplete")
+		t.Fatalf("name list incomplete: %q", usage)
 	}
 	for i := 1; i < len(names); i++ {
 		if names[i] <= names[i-1] {
@@ -48,18 +65,29 @@ func TestCircuitNamesSorted(t *testing.T) {
 	}
 }
 
+// TestDelayFlag: sim's -dsum/-dcarry flags accept the delay models and
+// reject out-of-range delays with an error instead of a panic.
 func TestDelayFlag(t *testing.T) {
-	if delayFlag(1, 1, false).Name() != delay.Unit().Name() {
-		t.Error("default should be unit")
+	for _, args := range [][]string{
+		{"-dsum", "2", "-dcarry", "1"},
+		{"-dsum", "3", "-dcarry", "3"},
+		{"-typical"},
+	} {
+		args = append([]string{"-circuit", "rca4", "-cycles", "5", "-top", "0"}, args...)
+		if err := commands["sim"](glitchsim.NewEngine(), args); err != nil {
+			t.Errorf("sim %v: %v", args, err)
+		}
 	}
-	if !strings.Contains(delayFlag(2, 1, false).Name(), "dsum=2") {
-		t.Error("fa ratio not selected")
-	}
-	if delayFlag(1, 1, true).Name() != "typical" {
-		t.Error("typical not selected")
-	}
-	if !strings.Contains(delayFlag(3, 3, false).Name(), "3") {
-		t.Error("uniform not selected")
+	for _, args := range [][]string{
+		{"-dsum", "-1"},
+		{"-dcarry", "-1"},
+		{"-dsum", "2147483648"},
+	} {
+		args = append([]string{"-circuit", "rca4", "-cycles", "5"}, args...)
+		err := commands["sim"](glitchsim.NewEngine(), args)
+		if err == nil || !strings.Contains(err.Error(), "delays must lie in") {
+			t.Errorf("sim %v: err = %v, want a delay range error", args, err)
+		}
 	}
 }
 
@@ -88,7 +116,10 @@ func TestExperimentCommandsRunQuickly(t *testing.T) {
 }
 
 func TestHazardCircuit(t *testing.T) {
-	n := buildHazard()
+	n, err := selectCircuit("-circuit", "hazard")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n.NumCells() != 2 || n.Name != "hazard" {
 		t.Error("hazard circuit wrong")
 	}
@@ -101,7 +132,7 @@ func TestHazardCircuit(t *testing.T) {
 // circuit from disk and resolve to the same structure (fingerprint) as
 // the registry build they were exported from.
 func TestCircuitSelectorFiles(t *testing.T) {
-	n, err := buildCircuit("rca4")
+	n, err := selectCircuit("-circuit", "rca4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +157,7 @@ func TestCircuitSelectorFiles(t *testing.T) {
 	}
 
 	for flagName, path := range map[string]string{"-verilog": vPath, "-netlist": jPath} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		sel := addCircuitFlags(fs, "rca16")
-		if err := fs.Parse([]string{flagName, path}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := sel.build(glitchsim.NewEngine())
+		got, err := selectCircuit(flagName, path)
 		if err != nil {
 			t.Fatalf("%s: %v", flagName, err)
 		}
@@ -141,12 +167,7 @@ func TestCircuitSelectorFiles(t *testing.T) {
 	}
 
 	// Both files set: a clear error instead of a silent pick.
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	sel := addCircuitFlags(fs, "rca16")
-	if err := fs.Parse([]string{"-verilog", vPath, "-netlist", jPath}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sel.build(glitchsim.NewEngine()); err == nil {
+	if _, err := selectCircuit("-verilog", vPath, "-netlist", jPath); err == nil {
 		t.Error("conflicting -verilog/-netlist accepted")
 	}
 

@@ -17,11 +17,6 @@ import (
 	"glitchsim/internal/vcd"
 )
 
-// delayFlag builds the delay model from -dsum/-dcarry/-typical flags.
-func delayFlag(dsum, dcarry int, typical bool) delay.Model {
-	return registry.DelayModel(dsum, dcarry, typical)
-}
-
 func cmdSim(engine *glitchsim.Engine, args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	sel := addCircuitFlags(fs, "rca16")
@@ -39,13 +34,17 @@ func cmdSim(engine *glitchsim.Engine, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	dm, err := registry.DelayModel(*dsum, *dcarry, *typical)
+	if err != nil {
+		return err
+	}
 	n, err := sel.build(engine)
 	if err != nil {
 		return err
 	}
 	cfg := glitchsim.Config{
 		Cycles: *cycles, Seed: *seed,
-		Delay: delayFlag(*dsum, *dcarry, *typical), Inertial: *inertial,
+		Delay: dm, Inertial: *inertial,
 		Budget: glitchsim.Budget{Events: *budgetEvents, WallClock: *budgetWall},
 	}
 	if *stim != "" {

@@ -7,6 +7,7 @@ package registry
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -39,7 +40,7 @@ var builders = map[string]func() *netlist.Netlist{
 	"cskip16": func() *netlist.Netlist { return circuits.NewCarrySkip(16, 4, circuits.Gates) },
 	"cla16":   func() *netlist.Netlist { return circuits.NewCLA(16) },
 	"csel16":  func() *netlist.Netlist { return circuits.NewCarrySelect(16, 4, circuits.Gates) },
-	"hazard":  buildHazard,
+	"hazard":  newHazard,
 
 	// Sequential subjects: a pipelined 8×8 array multiplier (register
 	// bank every two adder rows), a 16-bit accumulator and its
@@ -49,9 +50,9 @@ var builders = map[string]func() *netlist.Netlist{
 	"accum16cg": func() *netlist.Netlist { return circuits.NewAccumulator(16, true) },
 }
 
-// buildHazard is the two-gate static-hazard demonstrator (a AND NOT a),
+// newHazard is the two-gate static-hazard demonstrator (a AND NOT a),
 // the classic single-glitch circuit for waveform dumps.
-func buildHazard() *netlist.Netlist {
+func newHazard() *netlist.Netlist {
 	b := netlist.NewBuilder("hazard")
 	a := b.Input("a")
 	out := b.And(a, b.Not(a))
@@ -84,16 +85,22 @@ func Build(name string) (*netlist.Netlist, error) {
 
 // DelayModel resolves the (dsum, dcarry, typical) delay parameters the
 // CLI flags and service requests share: the heterogeneous typical model,
-// a full-adder sum/carry ratio, a uniform delay, or unit delay.
-func DelayModel(dsum, dcarry int, typical bool) delay.Model {
+// a full-adder sum/carry ratio, a uniform delay, or unit delay. Delays
+// outside [0, MaxInt32] are rejected: the delay package panics on a
+// negative delay and the simulator on one that overflows its int32
+// timeline, and both are user input here.
+func DelayModel(dsum, dcarry int, typical bool) (delay.Model, error) {
+	if dsum < 0 || dcarry < 0 || dsum > math.MaxInt32 || dcarry > math.MaxInt32 {
+		return nil, fmt.Errorf("delays must lie in [0, %d], got dsum=%d dcarry=%d", math.MaxInt32, dsum, dcarry)
+	}
 	if typical {
-		return delay.Typical()
+		return delay.Typical(), nil
 	}
 	if dsum != dcarry {
-		return delay.FullAdderRatio(dsum, dcarry)
+		return delay.FullAdderRatio(dsum, dcarry), nil
 	}
 	if dsum != 1 {
-		return delay.Uniform(dsum)
+		return delay.Uniform(dsum), nil
 	}
-	return delay.Unit()
+	return delay.Unit(), nil
 }

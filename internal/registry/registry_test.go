@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -90,21 +91,41 @@ func TestDelayModelResolution(t *testing.T) {
 	fa := &netlist.Cell{Type: netlist.FA, Out: []netlist.NetID{0, 1}}
 	inv := &netlist.Cell{Type: netlist.Not, Out: []netlist.NetID{0}}
 
-	if m := DelayModel(1, 1, false); m.Name() != delay.Unit().Name() {
+	model := func(dsum, dcarry int, typical bool) delay.Model {
+		t.Helper()
+		m, err := DelayModel(dsum, dcarry, typical)
+		if err != nil {
+			t.Fatalf("(%d,%d,%v): %v", dsum, dcarry, typical, err)
+		}
+		return m
+	}
+	if m := model(1, 1, false); m.Name() != delay.Unit().Name() {
 		t.Errorf("(1,1,false) resolved to %s, want unit", m.Name())
 	}
-	if m := DelayModel(3, 3, false); m.Delay(inv, 0) != 3 {
+	if m := model(3, 3, false); m.Delay(inv, 0) != 3 {
 		t.Errorf("(3,3) not uniform(3): %d", m.Delay(inv, 0))
 	}
-	m := DelayModel(2, 1, false)
+	m := model(2, 1, false)
 	if m.Delay(fa, netlist.PinSum) != 2 || m.Delay(fa, netlist.PinCarry) != 1 {
 		t.Errorf("(2,1) FA delays = (%d,%d), want (2,1)", m.Delay(fa, netlist.PinSum), m.Delay(fa, netlist.PinCarry))
 	}
 	if m.Delay(inv, 0) != 1 {
 		t.Errorf("(2,1) non-adder delay = %d, want 1", m.Delay(inv, 0))
 	}
-	if m := DelayModel(2, 1, true); m.Name() != delay.Typical().Name() {
+	if m := model(2, 1, true); m.Name() != delay.Typical().Name() {
 		t.Errorf("typical flag ignored: %s", m.Name())
+	}
+	if m := model(0, 0, false); m.Delay(inv, 0) != 0 {
+		t.Errorf("(0,0) not zero delay: %d", m.Delay(inv, 0))
+	}
+	// Out-of-range delays are an error, never a panic, whatever the
+	// model they would have selected.
+	for _, c := range [][2]int{{-1, 1}, {1, -1}, {-1, -1}, {-2, -2}, {math.MaxInt32 + 1, 1}, {1, math.MaxInt32 + 1}} {
+		for _, typical := range []bool{false, true} {
+			if m, err := DelayModel(c[0], c[1], typical); err == nil {
+				t.Errorf("(%d,%d,%v) accepted as %s", c[0], c[1], typical, m.Name())
+			}
+		}
 	}
 }
 

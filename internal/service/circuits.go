@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
 
-	"glitchsim/internal/registry"
+	"glitchsim"
 	"glitchsim/netlist"
 	"glitchsim/verilog"
 )
@@ -167,46 +168,32 @@ func (u *uploadStore) snapshot() []CircuitInfo {
 	return out
 }
 
-// unknownCircuitError reports a circuit reference no source (uploads or
-// registry) could resolve. The service maps it to 404 with the list of
-// resolvable identifiers in the message.
-type unknownCircuitError struct {
-	name      string
-	available []string
-}
-
-func (e *unknownCircuitError) Error() string {
-	return fmt.Sprintf("unknown circuit %q (available: %s)", e.name, strings.Join(e.available, ", "))
-}
-
-// resolveCircuit maps a request's circuit identifier to a netlist:
-// upload fingerprints first (they are self-certifying 64-hex handles),
-// then built-in registry names, then uploaded module names (most recent
-// upload wins a name collision).
+// resolve maps a request's circuit identifier to a netlist. Every
+// endpoint and the job layer resolve through it, in order: upload
+// fingerprints (self-certifying 64-hex handles), then the Engine's
+// source chain (custom CircuitSources, then the built-in registry),
+// then uploaded module names (the most recent upload wins a name
+// collision). A miss wraps glitchsim.ErrUnknownCircuit and lists every
+// identifier that would have resolved; a source that knew the name but
+// failed returns its own error.
 //
 // The upload store is deliberately NOT registered as a
 // glitchsim.CircuitSource on the Engine: the Engine is constructed by
 // the caller (and may be shared with non-HTTP users), while uploads are
 // request-surface state owned by this Server — mutating a caller's
 // engine would leak them across surfaces.
-func (s *Server) resolveCircuit(name string) (*netlist.Netlist, error) {
+func (s *Server) resolve(name string) (*netlist.Netlist, error) {
 	if n, ok := s.uploads.byFingerprint(name); ok {
 		return n, nil
 	}
-	if n, err := registry.Build(name); err == nil {
-		return n, nil
+	n, err := s.engine.Resolve(glitchsim.CircuitNamed(name))
+	if !errors.Is(err, glitchsim.ErrUnknownCircuit) {
+		return n, err
 	}
 	if n, ok := s.uploads.byName(name); ok {
 		return n, nil
 	}
-	return nil, &unknownCircuitError{name: name, available: s.availableCircuits()}
-}
-
-// availableCircuits lists every identifier resolveCircuit accepts:
-// registry names plus the fingerprints (and distinct module names) of
-// current uploads.
-func (s *Server) availableCircuits() []string {
-	names := registry.Names()
+	names := s.engine.CircuitNames()
 	seen := make(map[string]bool, len(names))
 	for _, n := range names {
 		seen[n] = true
@@ -218,7 +205,7 @@ func (s *Server) availableCircuits() []string {
 			names = append(names, info.Name)
 		}
 	}
-	return names
+	return nil, fmt.Errorf("%w %q (available: %s)", glitchsim.ErrUnknownCircuit, name, strings.Join(names, ", "))
 }
 
 // handleCircuits serves GET /v1/circuits (catalogue listing) and POST
@@ -227,7 +214,7 @@ func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		s.writeOK(w, CircuitsResponse{
-			Builtin: registry.Names(),
+			Builtin: s.engine.CircuitNames(),
 			Uploads: s.uploads.snapshot(),
 		})
 	case http.MethodPost:

@@ -1,14 +1,19 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"glitchsim"
+	"glitchsim/internal/jobs"
 	"glitchsim/internal/registry"
 	"glitchsim/netlist"
 	"glitchsim/verilog"
@@ -303,5 +308,117 @@ func TestServiceExperimentCircuitParam(t *testing.T) {
 	rows := decodeBody[Table3Response](t, resp3)
 	if len(rows.Rows) != 4 {
 		t.Errorf("table3 rows %d, want 4", len(rows.Rows))
+	}
+}
+
+// staticSource is a CircuitSource serving one fixed netlist under one
+// name, or failing every lookup of that name with err when err is set.
+type staticSource struct {
+	name string
+	nl   *netlist.Netlist
+	err  error
+}
+
+func (s staticSource) Resolve(name string) (*netlist.Netlist, bool, error) {
+	if name != s.name {
+		return nil, false, nil
+	}
+	if s.err != nil {
+		return nil, false, s.err
+	}
+	return s.nl, true, nil
+}
+
+func (s staticSource) Names() []string { return []string{s.name} }
+
+// TestServiceEngineSourceEverywhere: a name served by the engine's
+// custom circuit source resolves on every endpoint that takes a circuit
+// — the synchronous measurement, the retiming experiment and job
+// submission — and is listed by the catalogue and by the unknown-circuit
+// message, exactly like a registry name.
+func TestServiceEngineSourceEverywhere(t *testing.T) {
+	e := glitchsim.NewEngine(glitchsim.WithCircuitSource(staticSource{name: "mine", nl: glitchsim.NewRCA(4)}))
+	_, ts := newJobServer(t, e, jobs.Options{})
+
+	post := func(path, body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	resp := post("/v1/measure", `{"circuit":"mine","cycles":20}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/measure: status %d", resp.StatusCode)
+	}
+	if got := decodeBody[MeasureResponse](t, resp); got.Activity.Circuit != "rca4" || got.Activity.Transitions == 0 {
+		t.Errorf("/v1/measure measured %+v, want the source's rca4", got.Activity)
+	}
+
+	resp = post("/v1/experiments/table3", `{"cycles":5,"circuit":"mine"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/experiments/table3: status %d", resp.StatusCode)
+	}
+	if rows := decodeBody[Table3Response](t, resp); len(rows.Rows) == 0 {
+		t.Error("/v1/experiments/table3 returned no rows")
+	}
+
+	sub := submitJob(t, ts, `{"kind":"measure","measure":{"circuit":"mine","cycles":20}}`)
+	if sub.Fingerprint != glitchsim.NewRCA(4).Fingerprint() {
+		t.Errorf("job fingerprint %q, want the source circuit's", sub.Fingerprint)
+	}
+	if final := pollJob(t, ts, sub.ID); final.State != string(jobs.StateSucceeded) {
+		t.Errorf("job ended %q, error %q", final.State, final.Error)
+	}
+
+	cr, err := http.Get(ts.URL + "/v1/circuits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat := decodeBody[CircuitsResponse](t, cr); !slices.Contains(cat.Builtin, "mine") || !slices.Contains(cat.Builtin, "rca4") {
+		t.Errorf("GET /v1/circuits builtin = %v, want the source's name beside the registry's", cat.Builtin)
+	}
+
+	resp = post("/v1/measure", `{"circuit":"nope"}`)
+	er := decodeBody[ErrorResponse](t, resp)
+	if resp.StatusCode != http.StatusNotFound || er.Code != CodeUnknownCircuit || !strings.Contains(er.Error, "mine") {
+		t.Errorf("unknown circuit: status %d code %q message %q, want 404 %s listing \"mine\"",
+			resp.StatusCode, er.Code, er.Error, CodeUnknownCircuit)
+	}
+}
+
+// TestServiceCircuitSourceFailureIs500: a source that knows the name
+// but fails to produce it is a server-side fault, not a client error:
+// 500 internal, with the detail logged and kept out of the reply.
+func TestServiceCircuitSourceFailureIs500(t *testing.T) {
+	src := staticSource{name: "broken", err: errors.New("reading /srv/secret/broken.v: permission denied")}
+	var logged strings.Builder
+	var mu sync.Mutex
+	s := New(glitchsim.NewEngine(glitchsim.WithCircuitSource(src)), WithBaseContext(context.Background()),
+		WithLogf(func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&logged, format+"\n", args...)
+		}))
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	resp, err := http.Post(ts.URL+"/v1/measure", "application/json", strings.NewReader(`{"circuit":"broken"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	er := decodeBody[ErrorResponse](t, resp)
+	if resp.StatusCode != http.StatusInternalServerError || er.Code != CodeInternal {
+		t.Errorf("status %d code %q, want 500 %s", resp.StatusCode, er.Code, CodeInternal)
+	}
+	if strings.Contains(er.Error, "/srv/secret") {
+		t.Errorf("reply leaks the source's detail: %q", er.Error)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(logged.String(), "/srv/secret/broken.v") {
+		t.Errorf("source failure not logged; log:\n%s", logged.String())
 	}
 }

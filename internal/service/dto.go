@@ -246,7 +246,8 @@ type UploadResponse struct {
 
 // CircuitsResponse is the GET /v1/circuits reply.
 type CircuitsResponse struct {
-	// Builtin lists the registry circuit names.
+	// Builtin lists the names the engine resolves: the registry
+	// circuits plus those of any custom circuit sources.
 	Builtin []string `json:"builtin"`
 	// Uploads lists the uploaded circuits, most recently used first.
 	Uploads []CircuitInfo `json:"uploads"`

@@ -24,7 +24,8 @@ const (
 	// bound. HTTP 413.
 	CodePayloadTooLarge = "payload_too_large"
 	// CodeUnknownCircuit: the circuit reference resolves to nothing —
-	// not a registry name, not an uploaded fingerprint or module name.
+	// not an uploaded fingerprint, not a name the engine resolves
+	// (custom sources, then the registry), not an uploaded module name.
 	// The message lists the resolvable identifiers. HTTP 404.
 	CodeUnknownCircuit = "unknown_circuit"
 	// CodeUnknownJob: no job record with that ID. HTTP 404.
@@ -106,15 +107,17 @@ func (s *Server) writeBodyError(w http.ResponseWriter, err error) {
 
 // writeResolveError maps circuit-resolution failures onto status codes:
 // an unknown circuit reference is the client naming something that is
-// not there (404, with the resolvable identifiers in the message);
-// anything else is a bad request.
+// not there (404, with the resolvable identifiers in the message).
+// Anything else is a circuit source that knew the name but failed — a
+// server-side fault whose detail may name server paths, so it is logged
+// and answered generically.
 func (s *Server) writeResolveError(w http.ResponseWriter, err error) {
-	var unknown *unknownCircuitError
-	if errors.As(err, &unknown) {
+	if errors.Is(err, glitchsim.ErrUnknownCircuit) {
 		s.writeError(w, http.StatusNotFound, CodeUnknownCircuit, err)
 		return
 	}
-	s.writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+	s.logf("service: resolving circuit: %v", err)
+	s.writeError(w, http.StatusInternalServerError, CodeInternal, errors.New("circuit could not be resolved (see server log)"))
 }
 
 // writeEngineError maps engine failures onto the taxonomy. A cancelled

@@ -12,7 +12,6 @@ import (
 
 	"glitchsim"
 	"glitchsim/internal/jobs"
-	"glitchsim/netlist"
 )
 
 // The async job layer: long measurements and experiments submitted to
@@ -102,11 +101,14 @@ func (s *Server) executeJob(ctx context.Context, rec jobs.Record, h jobs.Hooks) 
 		if p.Measure == nil || p.Measure.Circuit == "" {
 			return nil, errors.New("stored measure job names no circuit")
 		}
-		nl, err := s.resolveJobCircuit(p.Measure.Circuit)
+		cfg, err := p.Measure.config()
+		if err != nil {
+			return nil, err
+		}
+		nl, err := s.resolve(p.Measure.Circuit)
 		if err != nil {
 			return nil, classifyJobError(err)
 		}
-		cfg := p.Measure.config()
 		resumable := cfg.CheckpointEvery > 0 && len(p.Measure.Seeds) == 0
 		if resumable {
 			cfg.CheckpointSink = func(cp *glitchsim.MeasureCheckpoint) error {
@@ -157,7 +159,7 @@ func (s *Server) executeJob(ctx context.Context, rec jobs.Record, h jobs.Hooks) 
 		if e := p.Experiment; e != nil {
 			req.Cycles, req.Seed, req.Targets = e.Cycles, e.Seed, e.Targets
 			if e.Circuit != "" {
-				nl, err := s.resolveJobCircuit(e.Circuit)
+				nl, err := s.resolve(e.Circuit)
 				if err != nil {
 					return nil, classifyJobError(err)
 				}
@@ -181,29 +183,6 @@ func classifyJobError(err error) error {
 		return jobs.Transient(err)
 	}
 	return err
-}
-
-// resolveJobCircuit resolves a job's circuit reference with a wider
-// chain than the synchronous endpoints: upload fingerprints, then the
-// Engine's source chain (custom CircuitSources, then the registry),
-// then uploaded module names. Running through the Engine chain lets a
-// test inject a faulty CircuitSource whose errors surface inside job
-// execution — the fault-injection seam of the acceptance tests.
-func (s *Server) resolveJobCircuit(name string) (*netlist.Netlist, error) {
-	if n, ok := s.uploads.byFingerprint(name); ok {
-		return n, nil
-	}
-	n, err := s.engine.Resolve(glitchsim.CircuitNamed(name))
-	if err == nil {
-		return n, nil
-	}
-	if !errors.Is(err, glitchsim.ErrUnknownCircuit) {
-		return nil, err // a source knew the name but failed: propagate the fault
-	}
-	if n, ok := s.uploads.byName(name); ok {
-		return n, nil
-	}
-	return nil, &unknownCircuitError{name: name, available: s.availableCircuits()}
 }
 
 // jobEventFrom converts a session progress event into the job layer's
@@ -274,11 +253,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// execution — they may be transient, and the retry policy owns them.
 	fingerprint := ""
 	resolveAhead := func(name string) bool {
-		nl, err := s.resolveJobCircuit(name)
+		nl, err := s.resolve(name)
 		switch {
 		case err == nil:
 			fingerprint = nl.Fingerprint()
-		case isUnknownCircuit(err):
+		case errors.Is(err, glitchsim.ErrUnknownCircuit):
 			s.writeResolveError(w, err)
 			return false
 		}
@@ -291,6 +270,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		p.Measure.Stream = false
+		if _, err := p.Measure.config(); err != nil {
+			s.writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+			return
+		}
 		if !resolveAhead(p.Measure.Circuit) {
 			return
 		}
@@ -347,11 +330,6 @@ func (s *Server) retryAfter() string {
 	st := s.jobs.Stats()
 	per := st.Queued / max(st.Workers, 1)
 	return strconv.Itoa(max(1, per))
-}
-
-func isUnknownCircuit(err error) bool {
-	var unknown *unknownCircuitError
-	return errors.As(err, &unknown) || errors.Is(err, glitchsim.ErrUnknownCircuit)
 }
 
 // handleJob dispatches the per-job endpoints: /v1/jobs/{id},

@@ -16,10 +16,12 @@
 //	POST /v1/experiments/table3       Table 3: retimed variant power breakdown
 //	POST /v1/experiments/figure10     Figure 10: power vs flipflop sweep
 //
-// Every measurement endpoint's `circuit` parameter accepts a built-in
-// registry name or the fingerprint handle POST /v1/circuits returned,
-// so uploaded circuits measure exactly like built-ins (and share the
-// Engine's fingerprint-keyed compiled cache). Unknown circuit
+// Every endpoint's `circuit` parameter, the job layer included, resolves
+// through one chain (Server.resolve): the fingerprint handle POST
+// /v1/circuits returned, then any name the Engine resolves (its custom
+// CircuitSources, then the built-in registry), then an uploaded module
+// name. Uploaded circuits therefore measure exactly like built-ins (and
+// share the Engine's fingerprint-keyed compiled cache). Unknown circuit
 // references answer 404 with the resolvable identifiers; malformed
 // uploads answer 400 with the parser's line-numbered message.
 //
@@ -179,9 +181,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // MeasureParams is the /v1/measure request body (or query string).
 type MeasureParams struct {
-	// Circuit references the circuit to measure: a registry name (see
-	// registry.Names) or the fingerprint of an uploaded circuit (POST
-	// /v1/circuits).
+	// Circuit references the circuit to measure: a name the engine
+	// resolves (see GET /v1/circuits), or the fingerprint or module
+	// name of an uploaded circuit (POST /v1/circuits).
 	Circuit string `json:"circuit"`
 	// Cycles: omitted = 500, explicit 0 = measure nothing.
 	Cycles *int `json:"cycles,omitempty"`
@@ -233,7 +235,10 @@ func (p *MeasureParams) budget() glitchsim.Budget {
 	}
 }
 
-func (p *MeasureParams) config() glitchsim.Config {
+// config resolves the request into an engine Config. It fails only on
+// an invalid delay parameter, which every caller answers as a bad
+// request.
+func (p *MeasureParams) config() (glitchsim.Config, error) {
 	cfg := glitchsim.Config{Seed: p.Seed, Inertial: p.Inertial, Lanes: p.Lanes, CheckpointEvery: p.CheckpointEvery}
 	if p.DSum != 0 || p.DCarry != 0 || p.Typical {
 		dsum, dcarry := p.DSum, p.DCarry
@@ -243,12 +248,16 @@ func (p *MeasureParams) config() glitchsim.Config {
 		if dcarry == 0 {
 			dcarry = 1
 		}
-		cfg.Delay = registry.DelayModel(dsum, dcarry, p.Typical)
+		m, err := registry.DelayModel(dsum, dcarry, p.Typical)
+		if err != nil {
+			return glitchsim.Config{}, err
+		}
+		cfg.Delay = m
 	}
 	cfg.Cycles = explicitZero(p.Cycles)
 	cfg.Warmup = explicitZero(p.Warmup)
 	cfg.Budget = p.budget()
-	return cfg
+	return cfg, nil
 }
 
 // explicitZero maps the wire's pointer convention onto the Config
@@ -270,16 +279,20 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if p.Circuit == "" {
-		s.writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("missing circuit (available: %s)", registry.NameList()))
+		s.writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("missing circuit (available: %s)", strings.Join(s.engine.CircuitNames(), ", ")))
 		return
 	}
-	nl, err := s.resolveCircuit(p.Circuit)
+	cfg, err := p.config()
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		return
+	}
+	nl, err := s.resolve(p.Circuit)
 	if err != nil {
 		s.writeResolveError(w, err)
 		return
 	}
 	ctx := r.Context()
-	cfg := p.config()
 	cfg.CheckpointEvery = 0 // a synchronous reply has nowhere to resume from; jobs own checkpointing
 	if !s.admitMeasure(w, nl, cfg) {
 		return
@@ -377,8 +390,8 @@ type ExperimentParams struct {
 	// Targets overrides the Figure 10 retiming sweep.
 	Targets []int `json:"targets,omitempty"`
 	// Circuit overrides the subject of the retiming power sweeps
-	// (table3, figure10) with a registry name or uploaded-circuit
-	// fingerprint. The fixed-set experiments (table1, table2) reject it.
+	// (table3, figure10), resolved like MeasureParams.Circuit. The
+	// fixed-set experiments (table1, table2) reject it.
 	Circuit string `json:"circuit,omitempty"`
 	// Stream switches the reply to NDJSON progress events.
 	Stream bool `json:"stream,omitempty"`
@@ -398,7 +411,7 @@ func (s *Server) experimentHandler(name string) http.HandlerFunc {
 					fmt.Errorf("experiment %s measures a fixed circuit set and takes no circuit", name))
 				return
 			}
-			nl, err := s.resolveCircuit(p.Circuit)
+			nl, err := s.resolve(p.Circuit)
 			if err != nil {
 				s.writeResolveError(w, err)
 				return

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"glitchsim"
+	"glitchsim/internal/jobs"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -371,4 +372,47 @@ func TestServiceLanesParam(t *testing.T) {
 	if wide.Activity.Transitions == scalar.Activity.Transitions {
 		t.Error("lane-decomposed and single-stream measurements coincide (lanes knob ignored?)")
 	}
+}
+
+// TestServiceDelayOutOfRange400: a negative (or int32-overflowing)
+// delay is a bad request on every surface that takes one — the JSON
+// body, the query string and job submission — instead of a panic
+// answered 500 or a job that fails later.
+func TestServiceDelayOutOfRange400(t *testing.T) {
+	_, ts := newJobServer(t, glitchsim.NewEngine(), jobs.Options{})
+	check := func(what string, resp *http.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := decodeBody[ErrorResponse](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest || !strings.Contains(e.Error, "delays must lie in") {
+			t.Errorf("%s: status %d code %q error %q, want 400 %s naming the delay range",
+				what, resp.StatusCode, e.Code, e.Error, CodeBadRequest)
+		}
+	}
+	for _, body := range []string{
+		`{"circuit":"rca8","dsum":-1,"dcarry":-1}`,
+		`{"circuit":"rca8","dsum":-1}`,
+		`{"circuit":"rca8","dcarry":-3,"typical":true}`,
+		`{"circuit":"rca8","dsum":2147483648}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/measure", "application/json", strings.NewReader(body))
+		check("POST /v1/measure "+body, resp, err)
+		resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"kind":"measure","measure":`+body+`}`))
+		check("POST /v1/jobs "+body, resp, err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/measure?circuit=rca8&dsum=-1&dcarry=-1")
+	check("GET /v1/measure", resp, err)
+
+	// The zero-delay model stays valid.
+	resp, err = http.Post(ts.URL+"/v1/measure", "application/json", strings.NewReader(`{"circuit":"rca8","dsum":0,"dcarry":0,"cycles":5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("default delays answered %d", resp.StatusCode)
+	}
+	resp.Body.Close()
 }

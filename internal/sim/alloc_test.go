@@ -21,7 +21,7 @@ import (
 
 // allocTolerance is the average allocations per Step the tests accept:
 // nonzero only to absorb a rare late slice growth on a workload whose
-// wave sizes fluctuate.
+// per-instant event counts fluctuate.
 const allocTolerance = 0.1
 
 func TestStepAllocFree(t *testing.T) {
@@ -31,7 +31,7 @@ func TestStepAllocFree(t *testing.T) {
 		name string
 		opts sim.Options
 	}{
-		{"wave-unit", sim.Options{Delay: delay.Unit()}},
+		{"calendar-unit", sim.Options{Delay: delay.Unit()}},
 		{"calendar-faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
 		{"heap-unit", sim.Options{Delay: delay.Unit(), Scheduler: sim.SchedulerHeap}},
 	} {

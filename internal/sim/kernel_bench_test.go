@@ -12,7 +12,7 @@ import (
 	"glitchsim/internal/stimulus"
 )
 
-// BenchmarkKernel compares the three event schedulers on the 16x16
+// BenchmarkKernel compares the two event schedulers on the 16x16
 // array multiplier with the activity counter attached — the same
 // workload as the root package's BenchmarkSimulatorThroughput, but
 // compiled once and broken out per kernel. events/s counts scheduler
@@ -24,9 +24,8 @@ func BenchmarkKernel(b *testing.B) {
 		name string
 		opts sim.Options
 	}{
-		{"wave-unit", sim.Options{Delay: delay.Unit()}},
+		{"calendar-unit", sim.Options{Delay: delay.Unit()}},
 		{"calendar-faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
-		{"calendar-unit", sim.Options{Delay: delay.Unit(), Scheduler: sim.SchedulerCalendar}},
 		{"heap-unit", sim.Options{Delay: delay.Unit(), Scheduler: sim.SchedulerHeap}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

@@ -1,12 +1,12 @@
 package sim_test
 
-// Cross-kernel equivalence: the calendar/wave schedulers must produce
+// Cross-kernel equivalence: the calendar scheduler must produce
 // bit-identical simulation results to the reference binary heap — same
 // per-net activity statistics (transition, useful/useless, glitch and
 // rising counts), same settled values, same settle times — on every
 // built-in circuit, under transport and inertial modes, several delay
 // models and several stimulus seeds. This is the test that licenses the
-// O(1) schedulers to replace the heap on the hot path.
+// O(1) scheduler to replace the heap on the hot path.
 
 import (
 	"fmt"
@@ -59,11 +59,11 @@ func TestKernelEquivalence(t *testing.T) {
 		}},
 	}
 	models := []delay.Model{
-		delay.Unit(),               // uniform: wave kernel under SchedulerAuto
-		delay.Zero(),               // uniform zero delay: wave kernel, coalescing path
-		delay.Uniform(3),           // uniform: wave kernel
-		delay.FullAdderRatio(2, 1), // mixed: calendar kernel
-		delay.Typical(),            // heterogeneous incl. 0-delay constants: calendar, coalescing
+		delay.Unit(),               // uniform
+		delay.Zero(),               // uniform zero delay: coalescing path
+		delay.Uniform(3),           // uniform, wider ring
+		delay.FullAdderRatio(2, 1), // mixed
+		delay.Typical(),            // heterogeneous incl. 0-delay constants: coalescing
 	}
 	modes := []sim.Mode{sim.Transport, sim.Inertial}
 	seeds := []uint64{1, 2, 99}
@@ -75,31 +75,25 @@ func TestKernelEquivalence(t *testing.T) {
 			for _, mode := range modes {
 				for _, seed := range seeds {
 					name := fmt.Sprintf("%s/%s/%v/seed%d", b.name, dm.Name(), mode, seed)
+					// Every model here fits the calendar window, so
+					// SchedulerAuto runs the calendar queue.
 					ref, refVals, refSettle := kernelRun(t, nl,
 						sim.Options{Delay: dm, Mode: mode, Scheduler: sim.SchedulerHeap}, seed, cycles)
-					fast, fastVals, fastSettle := kernelRun(t, nl,
-						sim.Options{Delay: dm, Mode: mode}, seed, cycles)
 					cal, calVals, calSettle := kernelRun(t, nl,
-						sim.Options{Delay: dm, Mode: mode, Scheduler: sim.SchedulerCalendar}, seed, cycles)
+						sim.Options{Delay: dm, Mode: mode}, seed, cycles)
 
-					if fastSettle != refSettle || calSettle != refSettle {
-						t.Fatalf("%s: settle times heap=%d auto=%d calendar=%d",
-							name, refSettle, fastSettle, calSettle)
+					if calSettle != refSettle {
+						t.Fatalf("%s: settle times heap=%d calendar=%d", name, refSettle, calSettle)
 					}
 					for i := range refVals {
-						if fastVals[i] != refVals[i] || calVals[i] != refVals[i] {
-							t.Fatalf("%s: net %s values heap=%d auto=%d calendar=%d",
-								name, nl.Nets[i].Name, refVals[i], fastVals[i], calVals[i])
+						if calVals[i] != refVals[i] {
+							t.Fatalf("%s: net %s values heap=%d calendar=%d",
+								name, nl.Nets[i].Name, refVals[i], calVals[i])
 						}
 					}
 					for i := 0; i < nl.NumNets(); i++ {
 						id := netlist.NetID(i)
-						want := ref.Stats(id)
-						if got := fast.Stats(id); got != want {
-							t.Fatalf("%s: net %s stats differ (auto scheduler)\nheap: %+v\nauto: %+v",
-								name, nl.Nets[i].Name, want, got)
-						}
-						if got := cal.Stats(id); got != want {
+						if got, want := cal.Stats(id), ref.Stats(id); got != want {
 							t.Fatalf("%s: net %s stats differ (calendar scheduler)\nheap: %+v\ncal:  %+v",
 								name, nl.Nets[i].Name, want, got)
 						}

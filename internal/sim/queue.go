@@ -5,23 +5,22 @@ import (
 	"glitchsim/netlist"
 )
 
-// The simulator's pending-event queue. Three implementations coexist
+// The simulator's pending-event queue. Two implementations coexist
 // behind a common method set (push / empty / nextTime / popBatch /
-// reset / clear), selected at construction and dispatched through nil
-// checks on the concrete types so the O(1) operations inline into the
-// event loop:
+// reset / clear), selected at construction and dispatched through a nil
+// check on the calendar so its O(1) operations inline into the event
+// loop:
 //
-//   - waveQueue: for uniform delay models, where all in-flight events
-//     share one absolute time. Push is a bare append, pop a slice swap.
 //   - calendarQueue: a ring of per-time-slot FIFO buckets indexed by
 //     t mod window. Cell delays are small bounded integers, so push and
 //     pop are O(1); within one time slot events pop in push (= serial)
 //     order, which is exactly the (time, serial) order the heap produces.
+//     Uniform delay models (the paper's unit-delay runs) use it too.
 //   - heapQueue: the classic binary min-heap ordered by (time, serial),
-//     kept as the fallback for delay models whose per-hop delays exceed
-//     the calendar window.
+//     kept as the reference order and as the fallback for delay models
+//     whose per-hop delays exceed the calendar window cap.
 //
-// All implementations deliver events in identical order, so the choice
+// Both implementations deliver events in identical order, so the choice
 // of scheduler never changes observable simulation results (the
 // cross-kernel equivalence test in kernel_test.go enforces this).
 
@@ -108,44 +107,6 @@ func (q *calendarQueue[E]) clear() {
 	q.cur = 0
 	q.size = 0
 }
-
-// waveQueue is the degenerate calendar for uniform delay models (every
-// combinational output has the same delay d, e.g. the paper's unit-delay
-// experiments): all events in flight share one absolute time, so the
-// queue is a single FIFO wave at time t and the next wave at t+d. Push
-// is a bare append, pop swaps two slices.
-//
-// The uniform-delay invariant makes this exact: every push between two
-// popBatch calls carries the same time (t+d during evaluation at t, or 0
-// for the cycle-start injections into an empty queue).
-type waveQueue struct {
-	t     int // time of the pending wave (valid when non-empty)
-	wave  []event
-	spare []event // previous popBatch result, recycled as the next wave
-}
-
-func newWaveQueue() *waveQueue { return &waveQueue{} }
-
-func (q *waveQueue) push(e event) {
-	if len(q.wave) == 0 {
-		q.t = int(e.time)
-	}
-	q.wave = append(q.wave, e)
-}
-
-func (q *waveQueue) empty() bool   { return len(q.wave) == 0 }
-func (q *waveQueue) nextTime() int { return q.t }
-
-func (q *waveQueue) popBatch(int) []event {
-	b := q.wave
-	q.wave = q.spare[:0]
-	q.spare = b
-	return b
-}
-
-func (q *waveQueue) reset() {}
-
-func (q *waveQueue) clear() { q.wave = q.wave[:0] }
 
 // heapQueue is the fallback scheduler: a binary min-heap ordered by
 // (time, serial), with no bound on per-hop delays.

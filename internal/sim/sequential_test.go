@@ -74,7 +74,7 @@ func TestSequentialStepAllocFree(t *testing.T) {
 		name string
 		opts sim.Options
 	}{
-		{"scalar-wave-unit", sim.Options{Delay: delay.Unit()}},
+		{"scalar-calendar-unit", sim.Options{Delay: delay.Unit()}},
 		{"scalar-calendar-faratio", sim.Options{Delay: delay.FullAdderRatio(2, 1)}},
 	} {
 		s := sim.NewFromCompiled(comp, tc.opts)

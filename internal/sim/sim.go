@@ -29,14 +29,16 @@
 // instant, serial a per-simulator counter incremented on every schedule.
 // Two interchangeable schedulers realize this order:
 //
-//   - The calendar queue (default) keeps a power-of-two ring of FIFO
-//     buckets indexed by t mod window. Because every per-hop cell delay
-//     is smaller than the window, all in-flight events span fewer than
-//     window time slots, each bucket holds events of a single absolute
-//     time, and FIFO order within a bucket equals serial order. Push and
-//     pop are O(1), versus O(log n) for a heap.
-//   - The binary heap handles delay models whose per-hop delays exceed
-//     the calendar window cap (4096 time units).
+//   - The calendar queue (default, uniform delay models included)
+//     keeps a power-of-two ring of FIFO buckets indexed by t mod window.
+//     Because every per-hop cell delay is smaller than the window, all
+//     in-flight events span fewer than window time slots, each bucket
+//     holds events of a single absolute time, and FIFO order within a
+//     bucket equals serial order. Push and pop are O(1), versus
+//     O(log n) for a heap.
+//   - The binary heap is the reference order the calendar is tested
+//     against, and handles delay models whose per-hop delays exceed the
+//     calendar window cap (4096 time units).
 //
 // Both produce the identical event order, so simulation results — every
 // per-net transition, its time, and therefore every activity statistic —
@@ -195,7 +197,6 @@ type Simulator struct {
 	ffQ    []logic.V // sampled Q, indexed like Compiled.dffCells
 	delays []int32   // per cell-output key, precomputed from the model
 
-	wq         *waveQueue            // uniform-delay scheduler; nil unless active
 	cal        *calendarQueue[event] // O(1) scheduler; nil unless active
 	hq         *heapQueue            // fallback scheduler; nil unless active
 	serial     uint64
@@ -286,31 +287,13 @@ func NewFromCompiled(c *Compiled, opts Options) *Simulator {
 	case SchedulerCalendar:
 		s.cal = newCalendarQueue[event](dt.Max())
 	default:
-		switch {
-		case dt.Min() == dt.Max():
-			// Uniform delay model (the paper's unit-delay experiments):
-			// all in-flight events share one time, no ring needed.
-			s.wq = newWaveQueue()
-		case dt.Max()+2 <= maxCalendarWindow:
+		if dt.Max()+2 <= maxCalendarWindow {
 			s.cal = newCalendarQueue[event](dt.Max())
-		default:
+		} else {
 			s.hq = newHeapQueue()
 		}
 	}
 	return s
-}
-
-// KernelName names the scheduler kernel this simulator runs on, for
-// diagnostics and the measurement layer's kernel reporting.
-func (s *Simulator) KernelName() string {
-	switch {
-	case s.wq != nil:
-		return "wave"
-	case s.cal != nil:
-		return "calendar"
-	default:
-		return "heap"
-	}
 }
 
 // AttachMonitor registers a monitor for subsequent cycles.
@@ -420,12 +403,9 @@ func (s *Simulator) schedule(t int, net netlist.NetID, v logic.V, key int32) {
 	}
 	s.pending[net]++
 	e := event{time: int32(t), serial: s.serial, net: net, val: v, key: key}
-	switch {
-	case s.wq != nil:
-		s.wq.push(e)
-	case s.cal != nil:
+	if s.cal != nil {
 		s.cal.push(t, e)
-	default:
+	} else {
 		s.hq.push(e)
 	}
 }
@@ -481,12 +461,9 @@ func (s *Simulator) hotNets() []netlist.NetID {
 // a Step after a guard error starts from a consistent (if functionally
 // stale) state instead of corrupting the queue.
 func (s *Simulator) discardInFlight() {
-	switch {
-	case s.wq != nil:
-		s.wq.clear()
-	case s.cal != nil:
+	if s.cal != nil {
 		s.cal.clear()
-	default:
+	} else {
 		s.hq.clear()
 	}
 	for i := range s.pending {
@@ -522,12 +499,9 @@ func (s *Simulator) applyBatch(t int) {
 	s.epoch++
 	epoch := s.epoch
 	var batch []event
-	switch {
-	case s.wq != nil:
-		batch = s.wq.popBatch(t)
-	case s.cal != nil:
+	if s.cal != nil {
 		batch = s.cal.popBatch(t)
-	default:
+	} else {
 		batch = s.hq.popBatch(t)
 	}
 	s.events += uint64(len(batch))
@@ -595,26 +569,18 @@ func (s *Simulator) evalTouched(t int) {
 
 //glitchsim:hotpath
 func (s *Simulator) queueEmpty() bool {
-	switch {
-	case s.wq != nil:
-		return s.wq.empty()
-	case s.cal != nil:
+	if s.cal != nil {
 		return s.cal.empty()
-	default:
-		return s.hq.empty()
 	}
+	return s.hq.empty()
 }
 
 //glitchsim:hotpath
 func (s *Simulator) queueNextTime() int {
-	switch {
-	case s.wq != nil:
-		return s.wq.nextTime()
-	case s.cal != nil:
+	if s.cal != nil {
 		return s.cal.nextTime()
-	default:
-		return s.hq.nextTime()
 	}
+	return s.hq.nextTime()
 }
 
 // flush reports the instant's transitions to the monitors. On the

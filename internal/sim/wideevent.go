@@ -130,7 +130,7 @@ type WideEventSimulator struct {
 // per-cell delays, zero delays, transport and inertial modes — so it
 // never fails; use NewWideKernel to get the faster lockstep kernel when
 // the model happens to be uniform. Options.Scheduler selects the event
-// queue as for the scalar kernel (the wave queue does not apply).
+// queue as for the scalar kernel.
 func NewWideEvent(c *Compiled, opts Options) *WideEventSimulator {
 	dm := opts.Delay
 	if dm == nil {
